@@ -57,20 +57,15 @@ from .stationarity import (
 from .enumeration import (
     GenericityReport,
     LandscapeReport,
+    SupportSubspace,
     check_s_regularity,
     enumerate_stationary,
     enumerate_supports,
     run_genericity_experiment,
-)
-from .levelsets import (
-    LevelSetGraph,
-    SupportSubspace,
-    SweepResult,
-    component_count,
     subspace_min,
     support_min_table,
-    sweep_levels,
 )
+from .levelsets import LevelSetGraph, SweepResult, component_count, sweep_levels
 from .stability import (
     StabilityProbeConfig,
     StabilityReport,

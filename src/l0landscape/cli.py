@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--zero-tol", type=float, dest="zero_tol")
         p.add_argument("--stat-tol", type=float, dest="stat_tol")
         p.add_argument("--rank-tol", type=float, dest="rank_tol")
-        p.add_argument("--threads", type=int, default=1, help="worker thread cap (default 1)")
         p.add_argument("--timestamp", action="store_true", help="include a timestamp field")
 
     p_analyze = sub.add_parser("analyze", help="enumerate and classify all stationary points")
@@ -118,13 +117,13 @@ def _intervals_csv(result) -> str:
 def _dispatch(args):
     """Return (payload_dict, csv_text_or_None) for the selected command."""
     if args.command == "analyze":
-        report = enumerate_stationary(_load(args), threads=args.threads)
+        report = enumerate_stationary(_load(args))
         morse = dict(report.to_dict())
         morse["morse_applicable"] = not report.hypothesis_violated
         return morse, _points_csv(report) if args.csv else None
     if args.command == "regularity":
         inst = _load(args)
-        report = enumerate_stationary(inst, threads=args.threads)
+        report = enumerate_stationary(inst)
         witness = report.s_regularity_witness
         return {
             "s_regular": report.s_regular,
@@ -132,12 +131,12 @@ def _dispatch(args):
         }, None
     if args.command == "sweep":
         inst = _load(args)
-        report = enumerate_stationary(inst, threads=args.threads)
-        result = sweep_levels(inst, report, threads=args.threads)
+        report = enumerate_stationary(inst)
+        result = sweep_levels(inst, report)
         return result.to_dict(), _intervals_csv(result) if args.csv else None
     if args.command == "probe":
         inst = _load(args)
-        report = enumerate_stationary(inst, threads=args.threads)
+        report = enumerate_stationary(inst)
         if not 0 <= args.point < len(report.points):
             raise ValidationError(
                 f"point index {args.point} out of range (found {len(report.points)} points)"
@@ -151,7 +150,7 @@ def _dispatch(args):
             seed=args.seed,
             paper_mode=args.paper_mode,
         )
-        probe = probe_strong_stability(inst, target, cfg, threads=args.threads)
+        probe = probe_strong_stability(inst, target, cfg)
         payload = probe.to_dict()
         payload["point_index"] = args.point
         payload["point"] = {
@@ -161,9 +160,7 @@ def _dispatch(args):
         }
         return payload, None
     if args.command == "generic":
-        report = run_genericity_experiment(
-            args.m, args.n, args.s, args.trials, args.seed, threads=args.threads
-        )
+        report = run_genericity_experiment(args.m, args.n, args.s, args.trials, args.seed)
         return report.to_dict(), None
     if args.command == "iht":
         inst = _load(args)

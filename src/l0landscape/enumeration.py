@@ -1,11 +1,13 @@
 """Exhaustive M-stationary-point enumeration and landscape reporting.
 
-Every support of size at most ``s`` is solved by least squares on its column
-submatrix; each solution is M-stationary by construction because its gradient
-vanishes on the solved support, which contains the solution's own support.
-Solutions found through different supersets of the same support collapse to a
-single record.  Rank-deficient solves certify a continuum of stationary
-points; the minimum-norm representative is kept and reported as degenerate.
+Every support of size at most ``s`` is solved once by least squares on its
+column submatrix; the points, the s-regularity verdict and the level sweep
+are all read from that one table.  Each solution is M-stationary by
+construction because its gradient vanishes on the solved support, which
+contains the solution's own support.  Solutions found through different
+supersets of the same support collapse to a single record.  Rank-deficient
+solves certify a continuum of stationary points; the minimum-norm
+representative is kept and reported as degenerate.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,16 +28,27 @@ from .model import (
     Support,
     ToleranceConfig,
     instance_to_dict,
+    objective,
     support_of,
     validate_instance,
 )
 from .stationarity import PointKind, StationaryPoint, classify
-from .util import run_mapped, rng_for
+from .util import rng_for
 
 logger = logging.getLogger(__name__)
 
 # Relative tolerance for detecting ties among stationary values.
 VALUE_TIE_REL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class SupportSubspace:
+    """Minimum of the objective over the coordinate subspace of one support."""
+
+    support: Support
+    min_value: float
+    argmin: np.ndarray
+    full_rank: bool
 
 
 @dataclass
@@ -47,6 +60,8 @@ class LandscapeReport:
     guaranteed only when the matrix is s-regular, all points are nondegenerate,
     and stationary values are pairwise distinct, so ``hypothesis_violated``
     records whenever any of that fails (the verdict is still computed).
+    ``table`` holds the subspace minimum of every support of size at most s
+    that the report was derived from; it is not serialized.
     """
 
     points: list[StationaryPoint]
@@ -61,6 +76,7 @@ class LandscapeReport:
     morse_holds: bool
     continuum_detected: bool
     hypothesis_violated: bool
+    table: dict[Support, SupportSubspace] = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -125,87 +141,77 @@ def enumerate_supports(n: int, s: int) -> Iterator[Support]:
         yield from itertools.combinations(range(n), k)
 
 
+def _s_regularity(
+    n: int, s: int, full_rank: Callable[[Support], bool]
+) -> tuple[bool, Support | None]:
+    """s-regular unless a size-s support lacks full rank; the witness is the lex-first one."""
+    witness = next((S for S in itertools.combinations(range(n), s) if not full_rank(S)), None)
+    return witness is None, witness
+
+
 def check_s_regularity(A, s: int, rank_tol: float) -> tuple[bool, Support | None]:
     """Whether every size-s column subset has rank s; returns the first failure."""
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     if not 0 <= s <= min(m, n):
         raise ValidationError(f"need 0 <= s <= min(m, n), got s={s} for shape {A.shape}")
-    for subset in itertools.combinations(range(n), s):
-        if numerical_rank(A[:, subset], rank_tol) < s:
-            return False, subset
-    return True, None
+    return _s_regularity(n, s, lambda S: numerical_rank(A[:, S], rank_tol) == s)
 
 
-def _solve_support(inst: Instance, support: Support) -> tuple[np.ndarray, bool]:
+def subspace_min(inst: Instance, support: Support) -> SupportSubspace:
+    """Least-squares minimum of the objective over one coordinate subspace."""
+    support = tuple(sorted(int(i) for i in support))
+    if len(support) > inst.s or any(not 0 <= i < inst.n for i in support):
+        raise ValidationError(f"support {support} out of range for n={inst.n}, s={inst.s}")
     z, full_rank = solve_normal_equations(inst.A[:, list(support)], inst.b, inst.tol.rank_tol)
     x = np.zeros(inst.n)
     x[list(support)] = z
-    return x, full_rank
+    return SupportSubspace(
+        support=support,
+        min_value=objective(inst, x),
+        argmin=x,
+        full_rank=full_rank,
+    )
 
 
-def _values_tied(values: list[float]) -> bool:
-    ordered = sorted(values)
-    for a, b in zip(ordered, ordered[1:]):
-        if abs(b - a) <= VALUE_TIE_REL * (1.0 + max(abs(a), abs(b))):
-            return True
-    return False
+def support_min_table(inst: Instance) -> dict[Support, SupportSubspace]:
+    """Subspace minima for every support of size at most s, keyed by support."""
+    return {S: subspace_min(inst, S) for S in enumerate_supports(inst.n, inst.s)}
 
 
-def enumerate_stationary(
-    inst: Instance,
-    *,
-    supports: Iterable[Support] | None = None,
-    threads: int = 1,
-) -> LandscapeReport:
+def values_tie(a: float, b: float) -> bool:
+    """Whether two stationary values are equal within the relative tie band."""
+    return abs(b - a) <= VALUE_TIE_REL * (1.0 + max(abs(a), abs(b)))
+
+
+def enumerate_stationary(inst: Instance) -> LandscapeReport:
     """Enumerate, deduplicate, and classify every M-stationary point.
 
-    The result is deterministic and independent of the order in which
-    supports are streamed: deduplication keys on the canonical support of
-    each solution and the final list is sorted by (value, support).
+    The result is deterministic: deduplication keys on the canonical support
+    of each solution and the final list is sorted by (value, support).
     """
     validate_instance(inst)
     zero_tol = inst.tol.zero_tol
-    if supports is None:
-        support_list = list(enumerate_supports(inst.n, inst.s))
-    else:
-        support_list = []
-        for S in supports:
-            S = tuple(sorted(int(i) for i in S))
-            if len(S) > inst.s or any(not 0 <= i < inst.n for i in S):
-                raise ValidationError(f"support {S} is out of range for n={inst.n}, s={inst.s}")
-            support_list.append(S)
-
-    solved = run_mapped(lambda S: _solve_support(inst, S), support_list, threads)
-    solves: dict[Support, tuple[np.ndarray, bool]] = dict(zip(support_list, solved))
-
-    def solve_at(S: Support) -> tuple[np.ndarray, bool]:
-        if S not in solves:
-            solves[S] = _solve_support(inst, S)
-        return solves[S]
+    table = support_min_table(inst)
 
     # Group solutions by the canonical support of the solution itself.
     clusters: dict[Support, bool] = {}
-    for S in sorted(solves):
-        x, full_rank = solves[S]
-        T = support_of(x, zero_tol)
-        clusters[T] = clusters.get(T, False) or not full_rank
+    for sub in table.values():
+        T = support_of(sub.argmin, zero_tol)
+        clusters[T] = clusters.get(T, False) or not sub.full_rank
 
     # Each cluster's representative is the solve on its own canonical support,
     # chased to a fixpoint so the reported vector is exactly zero off-support.
-    finals: dict[Support, dict] = {}
+    # A solve vanishes off its support, so each step of the chase strictly
+    # shrinks the support; the chase ends and never leaves the table.
+    finals: dict[Support, bool] = {}
     for T in sorted(clusters):
         U = T
-        for _ in range(inst.n + 1):
-            x_U, full_U = solve_at(U)
-            V = support_of(x_U, zero_tol)
-            if V == U:
-                break
+        while (V := support_of(table[U].argmin, zero_tol)) != U:
             U = V
-        entry = finals.setdefault(U, {"x": x_U, "deficient": False})
-        entry["deficient"] = entry["deficient"] or clusters[T] or not full_U
+        finals[U] = finals.get(U, False) or clusters[T] or not table[U].full_rank
 
-    records = [(U, finals[U]["x"], finals[U]["deficient"]) for U in sorted(finals)]
+    records = [(U, table[U].argmin, deficient) for U, deficient in sorted(finals.items())]
 
     # Merge any residual near-duplicates within the point-identity radius,
     # preferring the representative with the smaller support.
@@ -236,10 +242,10 @@ def enumerate_stationary(
     r1 = sum(p.kind is PointKind.SADDLE_POINT for p in points)
     lower = sum(p.kind is PointKind.LOWER_ORDER for p in points)
     degen = sum(p.kind is PointKind.DEGENERATE for p in points)
-    s_regular, witness = check_s_regularity(inst.A, inst.s, inst.tol.rank_tol)
+    s_regular, witness = _s_regularity(inst.n, inst.s, lambda S: table[S].full_rank)
     lhs = (inst.n - inst.s) * r1
     rhs = r - 1
-    ties = _values_tied([p.value for p in points])
+    ties = any(values_tie(p.value, q.value) for p, q in zip(points, points[1:]))
     return LandscapeReport(
         points=points,
         r=r,
@@ -253,6 +259,7 @@ def enumerate_stationary(
         morse_holds=lhs >= rhs,
         continuum_detected=continuum,
         hypothesis_violated=(not s_regular) or continuum or degen > 0 or ties,
+        table=table,
     )
 
 
@@ -264,7 +271,6 @@ def run_genericity_experiment(
     seed: int,
     *,
     tol: ToleranceConfig | None = None,
-    threads: int = 1,
 ) -> GenericityReport:
     """Sample seeded Gaussian data and measure how often nondegeneracy holds.
 
@@ -302,7 +308,7 @@ def run_genericity_experiment(
             )
         return all_nondeg, active, rep.s_regular
 
-    outcomes = run_mapped(one_trial, range(trials), threads)
+    outcomes = [one_trial(t) for t in range(trials)]
     if trials == 0:
         return GenericityReport(0, 1.0, 1.0, 1.0, seed)
     return GenericityReport(

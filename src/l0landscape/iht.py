@@ -66,9 +66,9 @@ def iht_solve(
         raise NonFiniteDataError("x0 contains non-finite entries")
 
     x = hard_threshold(x0, inst.s)
-    L = largest_eigenvalue_gram(inst.A, 1e-12)
-    # Rayleigh estimates approach the top eigenvalue from below; the margin
-    # keeps the step at most 1/lambda_max so descent stays monotone.
+    L = largest_eigenvalue_gram(inst.A)
+    # The computed norm may round a hair below lambda_max; the margin keeps
+    # the step at most 1/lambda_max so descent stays monotone.
     L *= 1.0 + 1e-9
 
     iterations = 0

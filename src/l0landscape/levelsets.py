@@ -21,27 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ValidationError
-from .linalg import solve_normal_equations
-from .model import Instance, Support, objective, validate_instance
-from .stationarity import PointKind
-from .enumeration import VALUE_TIE_REL, LandscapeReport
-from .util import run_mapped
+from .model import Instance, Support, validate_instance
+from .stationarity import PointKind, StationaryPoint, cell_attachment
+from .enumeration import LandscapeReport, SupportSubspace, support_min_table, values_tie
 
 # Values within this relative band of the level still count as inside it.
 LEVEL_BAND_REL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class SupportSubspace:
-    """Minimum of the objective over the coordinate subspace of one support."""
-
-    support: Support
-    min_value: float
-    argmin: np.ndarray
-    full_rank: bool
 
 
 @dataclass
@@ -105,31 +90,6 @@ def _within_level(value: float, level: float) -> bool:
     return value <= level + LEVEL_BAND_REL * (1.0 + abs(level))
 
 
-def subspace_min(inst: Instance, support: Support) -> SupportSubspace:
-    """Least-squares minimum of the objective over one coordinate subspace."""
-    support = tuple(sorted(int(i) for i in support))
-    if len(support) > inst.s or any(not 0 <= i < inst.n for i in support):
-        raise ValidationError(f"support {support} out of range for n={inst.n}, s={inst.s}")
-    z, full_rank = solve_normal_equations(inst.A[:, list(support)], inst.b, inst.tol.rank_tol)
-    x = np.zeros(inst.n)
-    x[list(support)] = z
-    return SupportSubspace(
-        support=support,
-        min_value=objective(inst, x),
-        argmin=x,
-        full_rank=full_rank,
-    )
-
-
-def support_min_table(inst: Instance, *, threads: int = 1) -> dict[Support, SupportSubspace]:
-    """Subspace minima for every support of size at most s, keyed by support."""
-    from .enumeration import enumerate_supports
-
-    supports = list(enumerate_supports(inst.n, inst.s))
-    results = run_mapped(lambda S: subspace_min(inst, S), supports, threads)
-    return dict(zip(supports, results))
-
-
 class _UnionFind:
     def __init__(self, size: int):
         self.parent = list(range(size))
@@ -181,41 +141,45 @@ def component_count(
     return LevelSetGraph(level=level, nodes=nodes, edges=edges, q=uf.components)
 
 
-_ADMISSIBLE_RANGE = {
-    PointKind.LOCAL_MINIMIZER: lambda n, s: (1, 1),
-    PointKind.SADDLE_POINT: lambda n, s: (-(n - s), 0),
-    PointKind.LOWER_ORDER: lambda n, s: (0, 0),
-}
+def _admissible_range(n: int, s: int, points) -> tuple[int, int]:
+    """Admissible change of the component count across the points of one value."""
+    lo = hi = 0
+    for p in points:
+        cell = cell_attachment(n, s, p.point.sparsity)
+        if cell.cell_dim == 0:
+            lo, hi = lo + cell.cell_count, hi + cell.cell_count
+        elif cell.cell_dim == 1:
+            lo -= cell.cell_count
+    return lo, hi
 
 
-def _group_values(points) -> list[tuple[float, list[PointKind]]]:
+def _group_values(points) -> list[tuple[float, list[StationaryPoint]]]:
     ordered = sorted(points, key=lambda p: p.value)
-    groups: list[tuple[float, list[PointKind]]] = []
+    groups: list[tuple[float, list[StationaryPoint]]] = []
     for p in ordered:
-        if groups and abs(p.value - groups[-1][0]) <= VALUE_TIE_REL * (
-            1.0 + max(abs(p.value), abs(groups[-1][0]))
-        ):
-            groups[-1][1].append(p.kind)
+        if groups and values_tie(groups[-1][0], p.value):
+            groups[-1][1].append(p)
         else:
-            groups.append((p.value, [p.kind]))
+            groups.append((p.value, [p]))
     return groups
 
 
-def sweep_levels(inst: Instance, report: LandscapeReport, *, threads: int = 1) -> SweepResult:
+def sweep_levels(inst: Instance, report: LandscapeReport) -> SweepResult:
     """Component counts between stationary values plus the transition audit.
 
-    The audit is flagged not applicable when the report contains degenerate
-    points or a continuum certificate; the interval counts are still emitted.
+    The counts are read from ``report.table``, so ``report`` must be the
+    enumeration of ``inst``.  The audit is flagged not applicable when the
+    report contains degenerate points or a continuum certificate; the
+    interval counts are still emitted.
     """
     validate_instance(inst)
-    table = support_min_table(inst, threads=threads)
     groups = _group_values(report.points)
     if not groups:
         return SweepResult(intervals=[], audit=TransitionAudit(True, [], True))
 
     bounds = [groups[0][0] - 1.0] + [v for v, _ in groups] + [groups[-1][0] + 1.0]
     counts = [
-        component_count(inst, 0.5 * (lo + hi), table=table).q
+        component_count(inst, 0.5 * (lo + hi), table=report.table).q
         for lo, hi in zip(bounds, bounds[1:])
     ]
     intervals = [
@@ -227,14 +191,13 @@ def sweep_levels(inst: Instance, report: LandscapeReport, *, threads: int = 1) -
         return SweepResult(intervals=intervals, audit=TransitionAudit(False, [], None))
 
     transitions: list[Transition] = []
-    for i, (value, kinds) in enumerate(groups):
+    for i, (value, members) in enumerate(groups):
         delta = counts[i + 1] - counts[i]
-        lo = sum(_ADMISSIBLE_RANGE[k](inst.n, inst.s)[0] for k in kinds)
-        hi = sum(_ADMISSIBLE_RANGE[k](inst.n, inst.s)[1] for k in kinds)
+        lo, hi = _admissible_range(inst.n, inst.s, members)
         transitions.append(
             Transition(
                 value=value,
-                kinds=list(kinds),
+                kinds=[p.kind for p in members],
                 delta=delta,
                 admissible_lo=lo,
                 admissible_hi=hi,

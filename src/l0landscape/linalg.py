@@ -1,10 +1,9 @@
 """Small dense linear algebra kernels.
 
-Column-submatrix least squares, singular-value based rank decisions, and a
-power-method estimate of the largest Gram eigenvalue.  Everything is a pure
-function of its inputs and safe to call from multiple threads.  Target scale
-is desk-sized problems (m, n up to a few dozen), so all routines favour
-robustness over asymptotics.
+Column-submatrix least squares, singular-value based rank decisions, and the
+largest Gram eigenvalue.  Everything is a pure function of its inputs.
+Target scale is desk-sized problems (m, n up to a few dozen), so all
+routines favour robustness over asymptotics.
 """
 
 from __future__ import annotations
@@ -117,41 +116,9 @@ def pseudoinverse_apply(A_S, b) -> np.ndarray:
     return z
 
 
-def largest_eigenvalue_gram(A, iter_tol: float = 1e-12, max_iter: int = 100_000) -> float:
-    """Largest eigenvalue of ``A.T @ A`` by power iteration.
-
-    The start vector is deterministic (all ones, normalized).  If that vector
-    happens to lie in the null space of the Gram matrix, the iteration
-    restarts from the coordinate vector with the largest Gram diagonal.
-    Convergence is declared when the Rayleigh quotient changes by at most
-    ``iter_tol`` relatively between iterations.
-    """
+def largest_eigenvalue_gram(A) -> float:
+    """Largest eigenvalue of ``A.T @ A``, the squared spectral norm of ``A``."""
     A = _as_matrix(A)
     if A.shape[0] == 0 or A.shape[1] == 0:
         raise DimensionMismatchError("matrix must have at least one row and one column")
-    if iter_tol <= 0:
-        raise ValueError(f"iter_tol must be positive, got {iter_tol}")
-    G = A.T @ A
-    n = G.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    w = G @ v
-    if not np.linalg.norm(w) > 0.0:
-        j = int(np.argmax(np.diag(G)))
-        if G[j, j] == 0.0:
-            # PSD with zero diagonal means the Gram matrix is zero.
-            return 0.0
-        v = np.zeros(n)
-        v[j] = 1.0
-        w = G @ v
-    lam = float(v @ w)
-    for _ in range(max_iter):
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        w = G @ v
-        lam_next = float(v @ w)
-        if abs(lam_next - lam) <= iter_tol * max(abs(lam_next), 1e-300):
-            return lam_next
-        lam = lam_next
-    return lam
+    return float(np.linalg.norm(A, 2) ** 2)

@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .model import Instance
 from .enumeration import LandscapeReport, enumerate_stationary
 from .stationarity import StationaryPoint
-from .util import rng_for, run_mapped, spawn_seed
+from .util import rng_for, spawn_seed
 
 
 class StabilityVerdict(str, Enum):
@@ -119,8 +119,6 @@ def probe_strong_stability(
     inst: Instance,
     point: StationaryPoint,
     cfg: StabilityProbeConfig,
-    *,
-    threads: int = 1,
 ) -> StabilityReport:
     """Probe one stationary point against seeded perturbations of radius delta.
 
@@ -146,7 +144,7 @@ def probe_strong_stability(
         nearby = [[float(v) for v in p.point.x] for p in in_r]
         return exists, unique, nearby
 
-    outcomes = run_mapped(one_trial, range(cfg.trials), threads)
+    outcomes = [one_trial(t) for t in range(cfg.trials)]
     exists_count = sum(e for e, _, _ in outcomes)
     unique_count = sum(u for _, u, _ in outcomes)
     verdict = (

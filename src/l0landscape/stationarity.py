@@ -91,16 +91,18 @@ def gradient(inst: Instance, x) -> np.ndarray:
     return inst.A.T @ (inst.A @ x - inst.b)
 
 
-def stationarity_residual(inst: Instance, point: FeasiblePoint) -> float:
-    """Max-norm of the gradient restricted to the support (0 for empty support)."""
+def _gradient_and_residual(inst: Instance, point: FeasiblePoint) -> tuple[np.ndarray, float]:
     if len(point.support) > inst.s:
         raise InfeasiblePointError(
             f"point has {len(point.support)} nonzeros but s={inst.s}"
         )
-    if not point.support:
-        return 0.0
     g = gradient(inst, point.x)
-    return float(np.max(np.abs(g[list(point.support)])))
+    return g, float(np.max(np.abs(g[list(point.support)]), initial=0.0))
+
+
+def stationarity_residual(inst: Instance, point: FeasiblePoint) -> float:
+    """Max-norm of the gradient restricted to the support (0 for empty support)."""
+    return _gradient_and_residual(inst, point)[1]
 
 
 def is_m_stationary(inst: Instance, point: FeasiblePoint) -> bool:
@@ -108,13 +110,14 @@ def is_m_stationary(inst: Instance, point: FeasiblePoint) -> bool:
     return stationarity_residual(inst, point) <= inst.tol.stat_tol
 
 
-def _require_stationary(inst: Instance, point: FeasiblePoint) -> float:
-    resid = stationarity_residual(inst, point)
+def _stationary_gradient(inst: Instance, point: FeasiblePoint) -> tuple[np.ndarray, float]:
+    """Gradient and residual at the point; raises unless it is M-stationary."""
+    g, resid = _gradient_and_residual(inst, point)
     if resid > inst.tol.stat_tol:
         raise NotStationaryError(
             f"stationarity residual {resid:.3e} exceeds stat_tol {inst.tol.stat_tol:.3e}"
         )
-    return resid
+    return g, resid
 
 
 def nd1_vector_direct(inst: Instance, point: FeasiblePoint) -> np.ndarray:
@@ -124,10 +127,8 @@ def nd1_vector_direct(inst: Instance, point: FeasiblePoint) -> np.ndarray:
     when the sparsity constraint is inactive, and :func:`certify` stores an
     empty vector in that vacuous case.
     """
-    _require_stationary(inst, point)
-    comp = complement_of(point.support, inst.n)
-    g = gradient(inst, point.x)
-    return g[list(comp)]
+    g, _ = _stationary_gradient(inst, point)
+    return g[list(complement_of(point.support, inst.n))]
 
 
 def nd1_vector_projection(inst: Instance, point: FeasiblePoint) -> np.ndarray:
@@ -139,7 +140,7 @@ def nd1_vector_projection(inst: Instance, point: FeasiblePoint) -> np.ndarray:
     for an empty support the projector is the zero map and the expression
     reduces to ``-A.T b`` on all indices.
     """
-    _require_stationary(inst, point)
+    _stationary_gradient(inst, point)
     S = list(point.support)
     comp = complement_of(point.support, inst.n)
     A_S = inst.A[:, S]
@@ -159,7 +160,11 @@ def certify(inst: Instance, point: FeasiblePoint) -> NondegeneracyCertificate:
     near-degenerate warning set, since floating point cannot certify exact
     nonvanishing.
     """
-    _require_stationary(inst, point)
+    return _certify(inst, point, _stationary_gradient(inst, point)[0])
+
+
+def _certify(inst: Instance, point: FeasiblePoint, g: np.ndarray) -> NondegeneracyCertificate:
+    """:func:`certify` at a point already checked stationary, with gradient ``g``."""
     k = len(point.support)
     support_rank = numerical_rank(inst.A[:, list(point.support)], inst.tol.rank_tol)
     nd2 = support_rank == k
@@ -172,7 +177,7 @@ def certify(inst: Instance, point: FeasiblePoint) -> NondegeneracyCertificate:
             nd2_holds=nd2,
             support_rank=support_rank,
         )
-    vec = nd1_vector_direct(inst, point)
+    vec = g[list(complement_of(point.support, inst.n))]
     min_abs = float(np.min(np.abs(vec)))
     nd1 = min_abs > inst.tol.stat_tol
     return NondegeneracyCertificate(
@@ -187,8 +192,8 @@ def certify(inst: Instance, point: FeasiblePoint) -> NondegeneracyCertificate:
 
 def classify(inst: Instance, point: FeasiblePoint) -> StationaryPoint:
     """Classify an M-stationary point by nondegeneracy and sparsity level."""
-    resid = _require_stationary(inst, point)
-    cert = certify(inst, point)
+    g, resid = _stationary_gradient(inst, point)
+    cert = _certify(inst, point, g)
     k = len(point.support)
     if not cert.nondegenerate:
         kind = PointKind.DEGENERATE

@@ -1,23 +1,10 @@
-"""Small shared helpers: deterministic parallel maps and seed derivation."""
+"""Small shared helpers: deterministic seed derivation."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def run_mapped(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> list[R]:
-    """Map ``fn`` over ``items`` preserving order, optionally on a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def spawn_seed(seed: int, *indices: int) -> int:

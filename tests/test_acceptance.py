@@ -276,7 +276,7 @@ def test_criterion_10_iht_validity():
         x0 = rng.standard_normal(n)
         result = iht_solve(inst, x0)
         # replay the recurrence to observe the whole objective trajectory
-        L = largest_eigenvalue_gram(inst.A, 1e-12) * (1.0 + 1e-9)
+        L = largest_eigenvalue_gram(inst.A) * (1.0 + 1e-9)
         x = hard_threshold(x0, s)
         values = [objective(inst, x)]
         for _ in range(result.iterations):

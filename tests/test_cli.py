@@ -215,9 +215,3 @@ class TestOtherCommands:
         assert payload["converged"]
         assert payload["is_m_stationary"]
         assert payload["support"] in ([1], [2])
-
-    def test_threads_flag_preserves_output(self, capsys, saddle_file):
-        _, single, _ = run_cli(capsys, ["analyze", "--instance", saddle_file])
-        _, multi, _ = run_cli(capsys, ["analyze", "--instance", saddle_file,
-                                       "--threads", "4"])
-        assert single == multi

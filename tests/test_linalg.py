@@ -138,7 +138,7 @@ class TestLargestEigenvalueGram:
         rng = np.random.default_rng(2024)
         A = rng.standard_normal((4, 6))
         expected = float(np.linalg.svd(A, compute_uv=False)[0] ** 2)
-        got = largest_eigenvalue_gram(A, 1e-12)
+        got = largest_eigenvalue_gram(A)
         assert got == pytest.approx(expected, rel=1e-8)
 
     def test_ones_in_null_space_falls_back(self):
