@@ -24,7 +24,6 @@ from .linalg import (
     default_rank_tol,
     largest_eigenvalue_gram,
     numerical_rank,
-    pseudoinverse_apply,
     solve_normal_equations,
 )
 from .model import (
@@ -51,7 +50,6 @@ from .stationarity import (
     gradient,
     is_m_stationary,
     nd1_vector_direct,
-    nd1_vector_projection,
     stationarity_residual,
 )
 from .enumeration import (
@@ -126,12 +124,10 @@ __all__ = [
     "largest_eigenvalue_gram",
     "load_instance",
     "nd1_vector_direct",
-    "nd1_vector_projection",
     "numerical_rank",
     "objective",
     "perturb_instance",
     "probe_strong_stability",
-    "pseudoinverse_apply",
     "run_genericity_experiment",
     "solve_normal_equations",
     "stationarity_residual",

@@ -16,8 +16,8 @@ import json
 import sys
 
 from .errors import ValidationError
-from .model import load_instance
-from .enumeration import enumerate_stationary, run_genericity_experiment
+from .model import load_instance, support_to_json, validate_instance
+from .enumeration import check_s_regularity, enumerate_stationary, run_genericity_experiment
 from .levelsets import sweep_levels
 from .stability import StabilityProbeConfig, default_probe_epsilon, probe_strong_stability
 from .iht import iht_solve
@@ -98,7 +98,7 @@ def _points_csv(report) -> str:
     for i, p in enumerate(report.points):
         writer.writerow(
             [i, repr(p.value), p.kind.value,
-             ";".join(str(j + 1) for j in p.point.support),
+             ";".join(map(str, support_to_json(p.point.support))),
              p.cert.nd1_holds, p.cert.nd2_holds]
             + [repr(float(v)) for v in p.point.x]
         )
@@ -123,12 +123,9 @@ def _dispatch(args):
         return morse, _points_csv(report) if args.csv else None
     if args.command == "regularity":
         inst = _load(args)
-        report = enumerate_stationary(inst)
-        witness = report.s_regularity_witness
-        return {
-            "s_regular": report.s_regular,
-            "witness": None if witness is None else [i + 1 for i in witness],
-        }, None
+        validate_instance(inst)
+        s_regular, witness = check_s_regularity(inst.A, inst.s, inst.tol.rank_tol)
+        return {"s_regular": s_regular, "witness": support_to_json(witness)}, None
     if args.command == "sweep":
         inst = _load(args)
         report = enumerate_stationary(inst)
@@ -155,7 +152,7 @@ def _dispatch(args):
         payload["point_index"] = args.point
         payload["point"] = {
             "x": [float(v) for v in target.point.x],
-            "support": [i + 1 for i in target.point.support],
+            "support": support_to_json(target.point.support),
             "kind": target.kind.value,
         }
         return payload, None
@@ -167,7 +164,7 @@ def _dispatch(args):
         result = iht_solve(inst, [0.0] * inst.n)
         return {
             "x": [float(v) for v in result.x.x],
-            "support": [i + 1 for i in result.x.support],
+            "support": support_to_json(result.x.support),
             "iterations": result.iterations,
             "converged": result.converged,
             "final_step": result.final_step,

@@ -30,6 +30,7 @@ from .model import (
     instance_to_dict,
     objective,
     support_of,
+    support_to_json,
     validate_instance,
 )
 from .stationarity import PointKind, StationaryPoint, classify
@@ -86,7 +87,7 @@ class LandscapeReport:
             "lower_order": self.lower_order,
             "degenerate": self.degenerate,
             "s_regular": self.s_regular,
-            "s_regularity_witness": _support_to_json(self.s_regularity_witness),
+            "s_regularity_witness": support_to_json(self.s_regularity_witness),
             "morse_lhs": self.morse_lhs,
             "morse_rhs": self.morse_rhs,
             "morse_holds": self.morse_holds,
@@ -115,16 +116,10 @@ class GenericityReport:
         }
 
 
-def _support_to_json(support: Support | None) -> list[int] | None:
-    if support is None:
-        return None
-    return [i + 1 for i in support]
-
-
 def _point_to_dict(p: StationaryPoint) -> dict:
     return {
         "x": [float(v) for v in p.point.x],
-        "support": _support_to_json(p.point.support),
+        "support": support_to_json(p.point.support),
         "kind": p.kind.value,
         "value": p.value,
         "nd1": p.cert.nd1_holds,
@@ -194,22 +189,17 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
     zero_tol = inst.tol.zero_tol
     table = support_min_table(inst)
 
-    # Group solutions by the canonical support of the solution itself.
-    clusters: dict[Support, bool] = {}
-    for sub in table.values():
-        T = support_of(sub.argmin, zero_tol)
-        clusters[T] = clusters.get(T, False) or not sub.full_rank
-
-    # Each cluster's representative is the solve on its own canonical support,
-    # chased to a fixpoint so the reported vector is exactly zero off-support.
-    # A solve vanishes off its support, so each step of the chase strictly
-    # shrinks the support; the chase ends and never leaves the table.
+    # Chase every solve to the fixpoint of its support map, so the reported
+    # vector is exactly zero off its own support, and flag the fixpoint when
+    # any solve that reaches it is rank deficient.  A solve vanishes off its
+    # support, so each step of the chase strictly shrinks the support; the
+    # chase ends and never leaves the table.
     finals: dict[Support, bool] = {}
-    for T in sorted(clusters):
-        U = T
+    for S, sub in table.items():
+        U = S
         while (V := support_of(table[U].argmin, zero_tol)) != U:
             U = V
-        finals[U] = finals.get(U, False) or clusters[T] or not table[U].full_rank
+        finals[U] = finals.get(U, False) or not sub.full_rank
 
     records = [(U, table[U].argmin, deficient) for U, deficient in sorted(finals.items())]
 

@@ -15,6 +15,9 @@ from .linalg import largest_eigenvalue_gram
 from .model import FeasiblePoint, Instance, validate_instance
 from .stationarity import gradient, stationarity_residual
 
+# The iteration stops once a step moves x by at most STEP_TOL * (1 + ||x||).
+STEP_TOL = 1e-12
+
 
 @dataclass
 class IhtResult:
@@ -36,27 +39,22 @@ def hard_threshold(x, s: int) -> np.ndarray:
     if not 0 <= s <= x.shape[0]:
         raise ValueError(f"need 0 <= s <= len(x), got s={s} for length {x.shape[0]}")
     out = np.zeros_like(x)
-    if s == 0:
-        return out
     order = np.argsort(-np.abs(x), kind="stable")
     keep = order[:s]
     out[keep] = x[keep]
     return out
 
 
-def iht_solve(
-    inst: Instance,
-    x0,
-    max_iter: int = 10_000,
-    step_tol: float = 1e-12,
-) -> IhtResult:
+def iht_solve(inst: Instance, x0, max_iter: int = 10_000) -> IhtResult:
     """Run hard-thresholded gradient descent with step 1/L, L = lambda_max(A.T A).
 
     The start is projected onto the feasible set, so the objective is
     nonincreasing along the whole iterate sequence.  The iteration stops when
-    the step shrinks below ``step_tol * (1 + ||x||)`` or ``max_iter`` is hit;
-    a run only counts as converged when the final iterate also passes the
-    stationarity check (gradient on the support below ten times ``stat_tol``).
+    the step shrinks below ``STEP_TOL * (1 + ||x||)`` or ``max_iter`` is hit.
+    A zero Gram matrix makes the gradient vanish identically, so the projected
+    start is returned after zero iterations.  A run only counts as converged
+    when the final iterate also passes the stationarity check (gradient on the
+    support below ten times ``stat_tol``).
     """
     validate_instance(inst)
     x0 = np.asarray(x0, dtype=float)
@@ -73,14 +71,12 @@ def iht_solve(
 
     iterations = 0
     final_step = 0.0
-    step_met = L <= 0.0  # zero Gram matrix: the gradient vanishes identically
-    for _ in range(max_iter):
-        if L <= 0.0:
-            break
+    step_met = L <= 0.0  # zero Gram matrix: no step is ever taken
+    for _ in range(0 if step_met else max_iter):
         g = gradient(inst, x)
         x_next = hard_threshold(x - g / L, inst.s)
         final_step = float(np.linalg.norm(x_next - x))
-        threshold = step_tol * (1.0 + float(np.linalg.norm(x)))
+        threshold = STEP_TOL * (1.0 + float(np.linalg.norm(x)))
         x = x_next
         iterations += 1
         if final_step <= threshold:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteDataError, RankDeficiencyError
+from .errors import DimensionMismatchError, NonFiniteDataError
 
 
 def default_rank_tol(rows: int, cols: int) -> float:
@@ -65,17 +65,18 @@ def solve_normal_equations(A_S, b, rank_tol: float) -> tuple[np.ndarray, bool]:
     b : array_like, shape (m,)
         Measurement vector.
     rank_tol : float
-        Relative singular-value threshold used both for the full-rank
-        decision and as the ``lstsq`` cutoff.
+        Relative singular-value threshold, passed as the ``lstsq`` cutoff.
 
     Returns
     -------
     (z, full_rank)
         ``z`` is the unique least-squares solution when ``A_S`` has full
         column rank, otherwise the minimum-norm least-squares solution with
-        ``full_rank = False``.  The solve goes through an orthogonal
-        factorization (SVD), never through explicitly formed normal
-        equations.
+        ``full_rank = False``.  ``full_rank`` is the rank that ``lstsq``
+        itself used: it counts singular values above ``rank_tol *
+        sigma_max``, the rule of :func:`numerical_rank`, so one SVD both
+        decides the rank and solves.  The solve never forms the normal
+        equations explicitly.
     """
     A_S = _as_matrix(A_S, "A_S")
     b = _as_vector(b, "b")
@@ -86,34 +87,10 @@ def solve_normal_equations(A_S, b, rank_tol: float) -> tuple[np.ndarray, bool]:
     k = A_S.shape[1]
     if k == 0:
         return np.zeros(0), True
-    full_rank = numerical_rank(A_S, rank_tol) == k
-    z, _, _, _ = np.linalg.lstsq(A_S, b, rcond=rank_tol)
-    return z, full_rank
-
-
-def pseudoinverse_apply(A_S, b) -> np.ndarray:
-    """Apply the Moore-Penrose inverse of a full-column-rank matrix to ``b``.
-
-    Raises ``RankDeficiencyError`` when ``A_S`` is (numerically) rank
-    deficient; callers that must handle that case use
-    :func:`solve_normal_equations` instead.
-    """
-    A_S = _as_matrix(A_S, "A_S")
-    b = _as_vector(b, "b")
-    if A_S.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"A_S has {A_S.shape[0]} rows but b has length {b.shape[0]}"
-        )
-    k = A_S.shape[1]
-    if k == 0:
-        return np.zeros(0)
-    tol = default_rank_tol(*A_S.shape)
-    if numerical_rank(A_S, tol) < k:
-        raise RankDeficiencyError(
-            f"matrix of shape {A_S.shape} does not have full column rank"
-        )
-    z, _, _, _ = np.linalg.lstsq(A_S, b, rcond=tol)
-    return z
+    if rank_tol < 0:
+        raise ValueError(f"rank_tol must be nonnegative, got {rank_tol}")
+    z, _, rank, _ = np.linalg.lstsq(A_S, b, rcond=rank_tol)
+    return z, int(rank) == k
 
 
 def largest_eigenvalue_gram(A) -> float:

@@ -92,6 +92,13 @@ def support_of(x, zero_tol: float) -> Support:
     return tuple(int(i) for i in np.nonzero(np.abs(x) > zero_tol)[0])
 
 
+def support_to_json(support: Support | None) -> list[int] | None:
+    """1-based column indices of a support for JSON/CSV output (``None`` passes through)."""
+    if support is None:
+        return None
+    return [i + 1 for i in support]
+
+
 def complement_of(support: Support, n: int) -> Support:
     """Sorted indices of {0, ..., n-1} not in ``support``."""
     inside = set(support)

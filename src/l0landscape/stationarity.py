@@ -23,13 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InfeasiblePointError,
-    NotStationaryError,
-    RankDeficiencyError,
-)
-from .linalg import numerical_rank, pseudoinverse_apply
+from .errors import DimensionMismatchError, InfeasiblePointError, NotStationaryError
+from .linalg import numerical_rank
 from .model import FeasiblePoint, Instance, complement_of, objective
 
 
@@ -131,27 +126,6 @@ def nd1_vector_direct(inst: Instance, point: FeasiblePoint) -> np.ndarray:
     return g[list(complement_of(point.support, inst.n))]
 
 
-def nd1_vector_projection(inst: Instance, point: FeasiblePoint) -> np.ndarray:
-    """ND1 vector via the orthogonal projector onto the support column span.
-
-    Writes the stationary point in closed form and substitutes, giving
-    ``-((I - A_S A_S^+) A_{S^c}).T b`` with ``S`` the support.  Agrees with
-    :func:`nd1_vector_direct` entrywise whenever ``A_S`` has full column rank;
-    for an empty support the projector is the zero map and the expression
-    reduces to ``-A.T b`` on all indices.
-    """
-    _stationary_gradient(inst, point)
-    S = list(point.support)
-    comp = complement_of(point.support, inst.n)
-    A_S = inst.A[:, S]
-    if numerical_rank(A_S, inst.tol.rank_tol) < len(S):
-        raise RankDeficiencyError(
-            f"support columns {point.support} are numerically rank deficient"
-        )
-    projected_b = A_S @ pseudoinverse_apply(A_S, inst.b)
-    return -(inst.A[:, list(comp)].T @ (inst.b - projected_b))
-
-
 def certify(inst: Instance, point: FeasiblePoint) -> NondegeneracyCertificate:
     """Evaluate ND1 and ND2 at an M-stationary point.
 
@@ -167,25 +141,15 @@ def _certify(inst: Instance, point: FeasiblePoint, g: np.ndarray) -> Nondegenera
     """:func:`certify` at a point already checked stationary, with gradient ``g``."""
     k = len(point.support)
     support_rank = numerical_rank(inst.A[:, list(point.support)], inst.tol.rank_tol)
-    nd2 = support_rank == k
-    if k == inst.s:
-        return NondegeneracyCertificate(
-            nd1_holds=True,
-            nd1_vector=np.zeros(0),
-            nd1_min_abs=math.inf,
-            nd1_near_degenerate=False,
-            nd2_holds=nd2,
-            support_rank=support_rank,
-        )
-    vec = g[list(complement_of(point.support, inst.n))]
-    min_abs = float(np.min(np.abs(vec)))
+    vec = np.zeros(0) if k == inst.s else g[list(complement_of(point.support, inst.n))]
+    min_abs = float(np.min(np.abs(vec), initial=math.inf))
     nd1 = min_abs > inst.tol.stat_tol
     return NondegeneracyCertificate(
         nd1_holds=nd1,
         nd1_vector=vec,
         nd1_min_abs=min_abs,
         nd1_near_degenerate=(not nd1) and min_abs > 0.0,
-        nd2_holds=nd2,
+        nd2_holds=support_rank == k,
         support_rank=support_rank,
     )
 

@@ -166,6 +166,27 @@ class TestOtherCommands:
         assert rc == 0
         assert json.loads(out) == {"s_regular": False, "witness": [2]}
 
+    def test_regularity_does_not_need_enumeration(self, capsys, tmp_path):
+        # A duplicated column, perturbed by 1e-6, leaves every size-3 subset
+        # full rank but makes some support solves nearly rank deficient.  The
+        # s-regularity verdict reads only the column ranks, so it must not
+        # depend on whether the full enumeration of this instance succeeds.
+        import numpy as np
+
+        from l0landscape import Instance, instance_to_dict, perturb_instance
+        from l0landscape.util import spawn_seed
+
+        rng = np.random.default_rng(np.random.SeedSequence((0, 5, 8, 3, 0)))
+        A = rng.standard_normal((5, 8))
+        b = rng.standard_normal(5)
+        A[:, 7] = A[:, 0]
+        inst = perturb_instance(Instance.from_arrays(A, b, 3), 1e-6, spawn_seed(3, 2))
+        path = tmp_path / "near_duplicate.json"
+        path.write_text(json.dumps(instance_to_dict(inst)))
+        rc, out, err = run_cli(capsys, ["regularity", "--instance", str(path)])
+        assert rc == 0, err
+        assert json.loads(out) == {"s_regular": True, "witness": None}
+
     def test_sweep_json(self, capsys, saddle_file):
         rc, out, _ = run_cli(capsys, ["sweep", "--instance", saddle_file])
         assert rc == 0

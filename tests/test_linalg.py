@@ -7,11 +7,10 @@ from l0landscape import (
     RankDeficiencyError,
     largest_eigenvalue_gram,
     numerical_rank,
-    pseudoinverse_apply,
     solve_normal_equations,
 )
 
-from _oracles import grid_refine_min
+from _oracles import grid_refine_min, pseudoinverse_apply
 
 TOL = 1e-10
 

@@ -16,11 +16,10 @@ from l0landscape import (
     gradient,
     is_m_stationary,
     nd1_vector_direct,
-    nd1_vector_projection,
     objective,
 )
 
-from _oracles import fd_gradient
+from _oracles import fd_gradient, nd1_vector_projection
 
 
 def point(inst, coords):
