@@ -65,18 +65,20 @@ def solve_normal_equations(A_S, b, rank_tol: float) -> tuple[np.ndarray, bool]:
     b : array_like, shape (m,)
         Measurement vector.
     rank_tol : float
-        Relative singular-value threshold, passed as the ``lstsq`` cutoff.
+        Relative singular-value threshold used both for the full-rank
+        decision and as the ``lstsq`` cutoff.
 
     Returns
     -------
     (z, full_rank)
         ``z`` is the unique least-squares solution when ``A_S`` has full
         column rank, otherwise the minimum-norm least-squares solution with
-        ``full_rank = False``.  ``full_rank`` is the rank that ``lstsq``
-        itself used: it counts singular values above ``rank_tol *
-        sigma_max``, the rule of :func:`numerical_rank`, so one SVD both
-        decides the rank and solves.  The solve never forms the normal
-        equations explicitly.
+        ``full_rank = False``.  ``full_rank`` is decided by
+        :func:`numerical_rank`, the one rank rule of the package, and not by
+        the rank ``lstsq`` reports: LAPACK replaces a cutoff of 0 or of 1 and
+        above by machine epsilon, so its count follows a different rule for
+        those tolerances.  The solve goes through an orthogonal factorization
+        (SVD), never through explicitly formed normal equations.
     """
     A_S = _as_matrix(A_S, "A_S")
     b = _as_vector(b, "b")
@@ -87,10 +89,9 @@ def solve_normal_equations(A_S, b, rank_tol: float) -> tuple[np.ndarray, bool]:
     k = A_S.shape[1]
     if k == 0:
         return np.zeros(0), True
-    if rank_tol < 0:
-        raise ValueError(f"rank_tol must be nonnegative, got {rank_tol}")
-    z, _, rank, _ = np.linalg.lstsq(A_S, b, rcond=rank_tol)
-    return z, int(rank) == k
+    full_rank = numerical_rank(A_S, rank_tol) == k
+    z, _, _, _ = np.linalg.lstsq(A_S, b, rcond=rank_tol)
+    return z, full_rank
 
 
 def largest_eigenvalue_gram(A) -> float:

@@ -187,6 +187,32 @@ class TestOtherCommands:
         assert rc == 0, err
         assert json.loads(out) == {"s_regular": True, "witness": None}
 
+    @pytest.mark.parametrize("rank_tol, duplicate, expected", [
+        # Strict rule sigma > 0: the duplicated pair keeps a singular value of
+        # order 1e-16, so every pair counts as full rank.
+        ("0", True, True),
+        # Rule sigma > sigma_max: no singular value passes, so no pair does.
+        ("1", False, False),
+    ])
+    def test_analyze_and_regularity_agree_at_extreme_rank_tol(
+            self, capsys, tmp_path, rank_tol, duplicate, expected):
+        import numpy as np
+
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((3, 4))
+        b = rng.standard_normal(3)
+        if duplicate:
+            A[:, 3] = A[:, 1]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"m": 3, "n": 4, "s": 2, "A": A.tolist(), "b": b.tolist()}))
+        verdicts = []
+        for command in ("analyze", "regularity"):
+            rc, out, err = run_cli(
+                capsys, [command, "--instance", str(path), "--rank-tol", rank_tol])
+            assert rc == 0, err
+            verdicts.append(json.loads(out)["s_regular"])
+        assert verdicts == [expected, expected]
+
     def test_sweep_json(self, capsys, saddle_file):
         rc, out, _ = run_cli(capsys, ["sweep", "--instance", saddle_file])
         assert rc == 0
