@@ -16,7 +16,7 @@ import json
 import sys
 
 from .errors import ValidationError
-from .model import load_instance, support_to_json, validate_instance
+from .model import _tolerances_from_mapping, load_instance, support_to_json, validate_instance
 from .enumeration import check_s_regularity, enumerate_stationary, run_genericity_experiment
 from .levelsets import sweep_levels
 from .stability import StabilityProbeConfig, default_probe_epsilon, probe_strong_stability
@@ -157,7 +157,8 @@ def _dispatch(args):
         }
         return payload, None
     if args.command == "generic":
-        report = run_genericity_experiment(args.m, args.n, args.s, args.trials, args.seed)
+        tol = _tolerances_from_mapping(None, _tol_overrides(args))
+        report = run_genericity_experiment(args.m, args.n, args.s, args.trials, args.seed, tol=tol)
         return report.to_dict(), None
     if args.command == "iht":
         inst = _load(args)

@@ -4,10 +4,11 @@ Every support of size at most ``s`` is solved once by least squares on its
 column submatrix; the points, the s-regularity verdict and the level sweep
 are all read from that one table.  Each solution is M-stationary by
 construction because its gradient vanishes on the solved support, which
-contains the solution's own support.  Solutions found through different
-supersets of the same support collapse to a single record.  Rank-deficient
-solves certify a continuum of stationary points; the minimum-norm
-representative is kept and reported as degenerate.
+contains the solution's own support.  Two solutions are the same point
+exactly when their supports under ``zero_tol`` agree, so solutions found
+through different supersets of one support collapse to a single record.
+Rank-deficient solves certify a continuum of stationary points; the
+minimum-norm representative is kept and reported as degenerate.
 """
 
 from __future__ import annotations
@@ -180,10 +181,11 @@ def values_tie(a: float, b: float) -> bool:
 
 
 def enumerate_stationary(inst: Instance) -> LandscapeReport:
-    """Enumerate, deduplicate, and classify every M-stationary point.
+    """Enumerate and classify every M-stationary point.
 
-    The result is deterministic: deduplication keys on the canonical support
-    of each solution and the final list is sorted by (value, support).
+    Two solutions are the same point exactly when they have the same support
+    under ``zero_tol``, so each fixpoint support is reported once.  The result
+    is deterministic: the list is sorted by (value, support).
     """
     validate_instance(inst)
     zero_tol = inst.tol.zero_tol
@@ -201,33 +203,17 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
             U = V
         finals[U] = finals.get(U, False) or not sub.full_rank
 
-    records = [(U, table[U].argmin, deficient) for U, deficient in sorted(finals.items())]
-
-    # Merge any residual near-duplicates within the point-identity radius,
-    # preferring the representative with the smaller support.
-    records.sort(key=lambda rec: (len(rec[0]), rec[0]))
-    kept: list[tuple[Support, np.ndarray, bool]] = []
-    for U, x, deficient in records:
-        merged = False
-        for i, (U_k, x_k, def_k) in enumerate(kept):
-            if np.max(np.abs(x - x_k)) <= inst.tol.dedupe_tol:
-                kept[i] = (U_k, x_k, def_k or deficient)
-                merged = True
-                break
-        if not merged:
-            kept.append((U, x, deficient))
-
+    # The chase stops where the solve's support under zero_tol is U itself,
+    # so U is the point's support and each fixpoint support is one point.
     points: list[StationaryPoint] = []
-    continuum = False
-    for _, x, deficient in kept:
-        sp = classify(inst, FeasiblePoint.from_vector(x, zero_tol))
-        if deficient:
-            continuum = True
-            if sp.kind is not PointKind.DEGENERATE:
-                sp = replace(sp, kind=PointKind.DEGENERATE)
+    for U, deficient in finals.items():
+        sp = classify(inst, FeasiblePoint(x=table[U].argmin, support=U))
+        if deficient and sp.kind is not PointKind.DEGENERATE:
+            sp = replace(sp, kind=PointKind.DEGENERATE)
         points.append(sp)
     points.sort(key=lambda p: (p.value, p.point.support))
 
+    continuum = any(finals.values())
     r = sum(p.kind is PointKind.LOCAL_MINIMIZER for p in points)
     r1 = sum(p.kind is PointKind.SADDLE_POINT for p in points)
     lower = sum(p.kind is PointKind.LOWER_ORDER for p in points)

@@ -28,7 +28,7 @@ from .linalg import default_rank_tol
 
 Support = tuple[int, ...]
 
-_TOLERANCE_KEYS = ("zero_tol", "stat_tol", "rank_tol", "dedupe_tol")
+_TOLERANCE_KEYS = ("zero_tol", "stat_tol", "rank_tol")
 
 
 @dataclass(frozen=True)
@@ -36,21 +36,19 @@ class ToleranceConfig:
     """Numerical policy knobs.
 
     zero_tol
-        entries with ``|x_i| <= zero_tol`` are treated as zero.
+        entries with ``|x_i| <= zero_tol`` are treated as zero; two stationary
+        points are the same point exactly when their supports under it agree.
     stat_tol
         max-norm bound on the gradient restricted to the support for a point
         to count as M-stationary; also the strictness threshold for ND1.
     rank_tol
         relative singular-value threshold for rank decisions; ``None`` means
         "resolve to ``1e-10 * max(m, n)`` for the instance at hand".
-    dedupe_tol
-        max-norm radius within which two points are considered identical.
     """
 
     zero_tol: float = 1e-9
     stat_tol: float = 1e-8
     rank_tol: float | None = None
-    dedupe_tol: float = 1e-7
 
     def resolved(self, rows: int, cols: int) -> "ToleranceConfig":
         """Return a copy with ``rank_tol`` made concrete for an m-by-n matrix."""
@@ -156,16 +154,12 @@ def validate_instance(inst: Instance) -> None:
         value = getattr(t, key)
         if not np.isfinite(value) or value < 0:
             raise ToleranceError(f"{key} must be finite and nonnegative, got {value}")
-    if not t.zero_tol < t.dedupe_tol:
-        raise ToleranceError(
-            f"zero_tol ({t.zero_tol}) must be strictly below dedupe_tol ({t.dedupe_tol})"
-        )
 
 
 # ---------------------------------------------------------------------------
 # Instance files.  JSON schema:
 #   {"m": int, "n": int, "s": int, "A": [[...], ...], "b": [...],
-#    "tolerances": {"zero_tol": ..., "stat_tol": ..., "rank_tol": ..., "dedupe_tol": ...}}
+#    "tolerances": {"zero_tol": ..., "stat_tol": ..., "rank_tol": ...}}
 # CSV alternative: first line "m,n,s", then m rows of A, then one row b.
 # ---------------------------------------------------------------------------
 
@@ -277,6 +271,5 @@ def instance_to_dict(inst: Instance) -> dict:
             "zero_tol": inst.tol.zero_tol,
             "stat_tol": inst.tol.stat_tol,
             "rank_tol": inst.tol.rank_tol,
-            "dedupe_tol": inst.tol.dedupe_tol,
         },
     }

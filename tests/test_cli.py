@@ -239,6 +239,21 @@ class TestOtherCommands:
         assert payload["all_nondegenerate_fraction"] == 1.0
         assert payload["s_regular_fraction"] == 1.0
 
+    def test_generic_honours_tolerance_flags(self, capsys):
+        # ND1 needs off-support gradient entries above stat_tol in magnitude;
+        # Gaussian data of this size gives entries of order 1, so ND1 fails
+        # somewhere in every trial at a stat_tol of 10.
+        argv = ["generic", "--m", "4", "--n", "6", "--s", "2", "--trials", "20", "--seed", "1"]
+        rc, out, err = run_cli(capsys, argv + ["--stat-tol", "10"])
+        assert rc == 0, err
+        assert json.loads(out)["all_nondegenerate_fraction"] == 0.0
+
+    def test_generic_rejects_negative_tolerance(self, capsys):
+        rc, _, err = run_cli(capsys, ["generic", "--m", "4", "--n", "6", "--s", "2",
+                                      "--trials", "2", "--seed", "1", "--stat-tol", "-1"])
+        assert rc == 2
+        assert "stat_tol" in err
+
     def test_probe_degenerate_point(self, capsys, instability_file):
         rc, out, _ = run_cli(capsys, ["probe", "--instance", instability_file,
                                       "--seed", "3", "--trials", "10"])

@@ -15,6 +15,7 @@ from l0landscape import (
     numerical_rank,
     run_genericity_experiment,
     solve_normal_equations,
+    support_of,
     sweep_levels,
 )
 from l0landscape import enumeration, levelsets
@@ -150,6 +151,45 @@ class TestEnumerateStationary:
             assert rep.morse_lhs >= rep.morse_rhs
             assert rep.morse_holds
             checked += 1
+
+
+class TestPointIdentity:
+    """Two solutions are one point exactly when their supports under zero_tol agree."""
+
+    @staticmethod
+    def _assert_points_are_fixpoint_supports(inst, rep):
+        fixpoints = {
+            S for S, sub in rep.table.items()
+            if support_of(sub.argmin, inst.tol.zero_tol) == S
+        }
+        supports = [p.point.support for p in rep.points]
+        assert len(supports) == len(set(supports))
+        assert set(supports) == fixpoints
+
+    def test_coordinate_above_zero_tol_keeps_its_points_apart(self):
+        # b[1] = 5e-8 lies above zero_tol, so every support is its own
+        # fixpoint: three minimizers, three saddles and the origin.  The
+        # minimizer on (0, 1) and the saddle on (0,) differ only in that
+        # coordinate, so their values tie within the relative band.
+        inst = Instance.from_arrays(np.eye(3), [1.0, 5e-8, 0.3], 2)
+        rep = enumerate_stationary(inst)
+        assert len(rep.points) == 7
+        assert (rep.r, rep.r1) == (3, 3)
+        assert rep.hypothesis_violated
+        self._assert_points_are_fixpoint_supports(inst, rep)
+
+    @pytest.mark.parametrize("variant", ["zero-column", "duplicate-column"])
+    def test_reported_supports_are_the_fixpoint_supports(self, variant):
+        rng = np.random.default_rng(17)
+        A = rng.standard_normal((5, 7))
+        if variant == "zero-column":
+            A[:, 2] = 0.0
+        else:
+            A[:, 4] = A[:, 1]
+        inst = Instance.from_arrays(A, rng.standard_normal(5), 3)
+        rep = enumerate_stationary(inst)
+        assert rep.continuum_detected
+        self._assert_points_are_fixpoint_supports(inst, rep)
 
 
 class TestOneSolvePerSupport:

@@ -11,8 +11,6 @@ from l0landscape import (
     MeasurementBoundError,
     NonFiniteDataError,
     SparsityRangeError,
-    ToleranceConfig,
-    ToleranceError,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -86,11 +84,6 @@ class TestValidateInstance:
         with pytest.raises(DimensionMismatchError):
             validate_instance(Instance.from_arrays(np.eye(2), [1.0, 1.0, 1.0], 1))
 
-    def test_tolerance_order_enforced(self):
-        tol = ToleranceConfig(zero_tol=1e-6, dedupe_tol=1e-8)
-        with pytest.raises(ToleranceError):
-            validate_instance(Instance.from_arrays(np.eye(2), [1.0, 1.0], 1, tol))
-
     def test_rank_tol_resolved_from_shape(self):
         inst = Instance.from_arrays(np.eye(2), [1.0, 1.0], 1)
         assert inst.tol.rank_tol == pytest.approx(2e-10)
@@ -152,8 +145,11 @@ class TestInstanceFiles:
         assert loaded.tol.zero_tol == pytest.approx(1e-10)
         assert loaded.tol.stat_tol == pytest.approx(1e-6)
 
-    def test_unknown_tolerance_key_rejected(self):
+    # Older instance files may still set "dedupe_tol"; it is rejected like
+    # any other unknown key.
+    @pytest.mark.parametrize("key", ["wat", "dedupe_tol"])
+    def test_unknown_tolerance_key_rejected(self, key):
         data = {"m": 2, "n": 2, "s": 1, "A": [[1.0, 0.0], [0.0, 1.0]],
-                "b": [0.0, 0.0], "tolerances": {"wat": 1.0}}
-        with pytest.raises(InstanceFormatError, match="wat"):
+                "b": [0.0, 0.0], "tolerances": {key: 1.0}}
+        with pytest.raises(InstanceFormatError, match=f"unknown tolerance key '{key}'"):
             instance_from_dict(data)
