@@ -63,7 +63,7 @@ from .enumeration import (
     subspace_min,
     support_min_table,
 )
-from .levelsets import LevelSetGraph, SweepResult, component_count, sweep_levels
+from .levelsets import SweepResult, component_count, sweep_levels
 from .stability import (
     StabilityProbeConfig,
     StabilityReport,
@@ -87,7 +87,6 @@ __all__ = [
     "InstanceFormatError",
     "L0LandscapeError",
     "LandscapeReport",
-    "LevelSetGraph",
     "MeasurementBoundError",
     "NonFiniteDataError",
     "NondegeneracyCertificate",

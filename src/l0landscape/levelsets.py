@@ -4,16 +4,16 @@ A lower level set of the constrained problem is a finite union of sublevel
 sets of convex quadratics, one per size-s support; each piece is connected
 (an ellipsoid under full rank, a convex set in general) and two pieces meet
 exactly on their common coordinate subspace, where the intersection is again
-such a sublevel set.  Components of the union therefore equal components of
-the pairwise-intersection graph over size-s supports, which union-find counts
-exactly, with no sampling.
+such a sublevel set.  Pieces that share less than s - 1 indices are joined by
+a chain of one-index swaps below their common minimum, so one union-find pass
+over the supports and their swap links, in value order, counts exactly.
 
-The sweep walks the distinct stationary values in increasing order,
-evaluates the component count on each open interval between them, and audits
-the observed jumps against the admissible cell-attachment ranges: a minimizer
-crossing must create exactly one component, a saddle crossing may merge away
-between zero and ``n - s`` components, and lower-order crossings change
-nothing.  Tied values are audited jointly by summing the per-point ranges.
+The sweep reads that pass at the midpoint of every open interval between
+consecutive stationary values and audits the observed jumps against the
+admissible cell-attachment ranges: a minimizer crossing must create exactly
+one component, a saddle crossing may merge away between zero and ``n - s``
+components, and lower-order crossings change nothing.  Tied values are
+audited jointly by summing the per-point ranges.
 """
 
 from __future__ import annotations
@@ -27,16 +27,6 @@ from .enumeration import LandscapeReport, SupportSubspace, support_min_table, va
 
 # Values within this relative band of the level still count as inside it.
 LEVEL_BAND_REL = 1e-12
-
-
-@dataclass
-class LevelSetGraph:
-    """Intersection graph of the support pieces present at one level."""
-
-    level: float
-    nodes: list[Support]
-    edges: list[tuple[Support, Support]]
-    q: int
 
 
 @dataclass
@@ -90,24 +80,45 @@ def _within_level(value: float, level: float) -> bool:
     return value <= level + LEVEL_BAND_REL * (1.0 + abs(level))
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.components = size
+def _level_counts(inst: Instance, table: dict[Support, SupportSubspace],
+                  levels: list[float]) -> list[int]:
+    """Component count of the lower level set at each of the increasing ``levels``.
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
+    Each size-s support enters at its subspace minimum; each superset of an
+    (s-1)-support ``U`` is linked to the lowest one once it and ``U`` are both
+    inside the level.  Nodes precede links of equal value.
+    """
+    supports = list(itertools.combinations(range(inst.n), inst.s))
+    value = [table[S].min_value for S in supports]
+    stars: dict[Support, list[int]] = {}
+    for i, S in enumerate(supports):
+        for k in range(inst.s):
+            stars.setdefault(S[:k] + S[k + 1:], []).append(i)
+    events = [(v, 0, i, i) for i, v in enumerate(value)]
+    for U, star in stars.items():
+        low = min(star, key=value.__getitem__)
+        events += [(max(table[U].min_value, value[i]), 1, low, i) for i in star if i != low]
+    events.sort()
+    parent = list(range(len(supports)))
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-            self.components -= 1
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    counts, q, pos = [], 0, 0
+    for level in levels:
+        while pos < len(events) and _within_level(events[pos][0], level):
+            _, is_link, i, j = events[pos]
+            pos += 1
+            if not is_link:
+                q += 1
+            elif (ri := find(i)) != (rj := find(j)):
+                parent[rj] = ri
+                q -= 1
+        counts.append(q)
+    return counts
 
 
 def component_count(
@@ -115,30 +126,17 @@ def component_count(
     level: float,
     *,
     table: dict[Support, SupportSubspace] | None = None,
-) -> LevelSetGraph:
+) -> int:
     """Exact number of connected components of the lower level set.
 
     Nodes are the size-s supports whose subspace minimum lies at or below the
-    level; an edge joins two supports when the minimum over their common
+    level; two of them are connected when the minimum over their common
     subspace does too.
     """
     validate_instance(inst)
     if table is None:
         table = support_min_table(inst)
-    nodes = [
-        S
-        for S in itertools.combinations(range(inst.n), inst.s)
-        if _within_level(table[S].min_value, level)
-    ]
-    index = {S: i for i, S in enumerate(nodes)}
-    uf = _UnionFind(len(nodes))
-    edges: list[tuple[Support, Support]] = []
-    for S, T in itertools.combinations(nodes, 2):
-        shared = tuple(sorted(set(S) & set(T)))
-        if _within_level(table[shared].min_value, level):
-            edges.append((S, T))
-            uf.union(index[S], index[T])
-    return LevelSetGraph(level=level, nodes=nodes, edges=edges, q=uf.components)
+    return _level_counts(inst, table, [level])[0]
 
 
 def _admissible_range(n: int, s: int, points) -> tuple[int, int]:
@@ -178,10 +176,8 @@ def sweep_levels(inst: Instance, report: LandscapeReport) -> SweepResult:
         return SweepResult(intervals=[], audit=TransitionAudit(True, [], True))
 
     bounds = [groups[0][0] - 1.0] + [v for v, _ in groups] + [groups[-1][0] + 1.0]
-    counts = [
-        component_count(inst, 0.5 * (lo + hi), table=report.table).q
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    midpoints = [0.5 * (lo + hi) for lo, hi in zip(bounds, bounds[1:])]
+    counts = _level_counts(inst, report.table, midpoints)
     intervals = [
         SweepInterval(lo=lo, hi=hi, q=q) for (lo, hi), q in zip(zip(bounds, bounds[1:]), counts)
     ]

@@ -172,7 +172,11 @@ def _tolerances_from_mapping(raw, overrides: dict | None) -> ToleranceConfig:
         for key, value in raw.items():
             if key not in _TOLERANCE_KEYS:
                 raise InstanceFormatError(f"unknown tolerance key '{key}'")
-            merged[key] = float(value)
+            try:
+                merged[key] = float(value)
+            except (TypeError, ValueError) as exc:
+                raise InstanceFormatError(
+                    f"tolerance '{key}' must be a number, got {value!r}") from exc
     for key, value in (overrides or {}).items():
         if key not in _TOLERANCE_KEYS:
             raise InstanceFormatError(f"unknown tolerance override '{key}'")

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: least-squares minima come
 from grid refinement, gradients from central finite differences, eigenvalues
 from a full SVD, and level-set component counts from a flood fill over dense
-per-stratum grids glued along shared coordinate subspaces.  Two closed forms
+per-stratum grids glued along shared coordinate subspaces, or from the
+all-pairs intersection graph of the support pieces.  Two closed forms
 check the solver and the ND1 certificate: the pseudoinverse of a
 full-column-rank matrix applied through its thin SVD, and the ND1 vector
 written with the orthogonal projector onto the support column span.
@@ -22,6 +23,7 @@ from l0landscape import (
     RankDeficiencyError,
     complement_of,
 )
+from l0landscape.levelsets import LEVEL_BAND_REL
 
 
 def grid_refine_min(A, b, radius: float | None = None, levels: int = 45,
@@ -127,6 +129,28 @@ def grid_components(inst: Instance, level: float, step: float = 0.01,
             union(ids[(S, int(a_lbl))], ids[(T, int(b_lbl))])
 
     return len({find(i) for i in range(len(ids))})
+
+
+def pairwise_components(inst: Instance, level: float, table) -> int:
+    """Components of the all-pairs intersection graph of the size-s pieces.
+
+    The nodes are the size-s supports whose subspace minimum (read from
+    ``table``) is inside the level; ``S`` and ``T`` are adjacent when the
+    minimum over ``S & T`` is inside it too.  Inside means at most
+    ``level + LEVEL_BAND_REL * (1 + |level|)``.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    bound = level + LEVEL_BAND_REL * (1.0 + abs(level))
+    nodes = [S for S in itertools.combinations(range(inst.n), inst.s)
+             if table[S].min_value <= bound]
+    if not nodes:
+        return 0
+    adjacency = np.array([
+        [table[tuple(sorted(set(S) & set(T)))].min_value <= bound for T in nodes]
+        for S in nodes
+    ])
+    return int(connected_components(adjacency, directed=False)[0])
 
 
 def random_instance(rng, m: int, n: int, s: int, tol=None,

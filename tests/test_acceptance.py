@@ -196,7 +196,7 @@ def test_criterion_07_level_set_oracle_equivalence():
         table = support_min_table(inst)
         for level in levels:
             comparisons += 1
-            exact = component_count(inst, level, table=table).q
+            exact = component_count(inst, level, table=table)
             flooded = grid_components(inst, level, step=0.01)
             if exact != flooded:
                 mismatches += 1
@@ -235,7 +235,7 @@ def test_criterion_08_sweep_transition_audit():
         table = support_min_table(inst)
         for iv in sweep.intervals:
             qs = {
-                component_count(inst, iv.lo + f * (iv.hi - iv.lo), table=table).q
+                component_count(inst, iv.lo + f * (iv.hi - iv.lo), table=table)
                 for f in (0.25, 0.5, 0.75)
             }
             if qs != {iv.q}:

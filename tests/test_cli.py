@@ -120,6 +120,19 @@ class TestErrorPaths:
         rc, _, err = run_cli(capsys, ["analyze", "--instance", str(path)])
         assert rc == 2
 
+    def test_non_numeric_tolerance_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad_tol.json"
+        path.write_text(json.dumps({
+            "m": 2, "n": 2, "s": 1,
+            "A": [[1.0, 0.0], [0.0, 1.0]],
+            "b": [0.0, 0.0],
+            "tolerances": {"zero_tol": "abc"},
+        }))
+        rc, out, err = run_cli(capsys, ["analyze", "--instance", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert "tolerance 'zero_tol' must be a number, got 'abc'" in err
+
     def test_generic_requires_seed(self, saddle_file):
         with pytest.raises(SystemExit) as exc:
             main(["generic", "--m", "2", "--n", "2", "--s", "1", "--trials", "5"])
@@ -221,6 +234,18 @@ class TestOtherCommands:
         assert payload["applicable"]
         assert [t["delta"] for t in payload["transitions"]] == [2, -1]
         assert all(t["admissible"] for t in payload["transitions"])
+
+    def test_sweep_s_zero_instance(self, capsys, tmp_path):
+        # s = 0: the only support is the empty one, with no swap links.
+        path = tmp_path / "szero.json"
+        path.write_text(json.dumps({
+            "m": 2, "n": 2, "s": 0,
+            "A": [[1.0, 0.0], [0.0, 1.0]],
+            "b": [0.0, 0.0],
+        }))
+        rc, out, _ = run_cli(capsys, ["sweep", "--instance", str(path)])
+        assert rc == 0
+        assert [iv["q"] for iv in json.loads(out)["intervals"]] == [0, 1]
 
     def test_sweep_csv(self, capsys, saddle_file):
         rc, out, _ = run_cli(capsys, ["sweep", "--instance", saddle_file, "--csv"])

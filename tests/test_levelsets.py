@@ -12,7 +12,12 @@ from l0landscape import (
     sweep_levels,
 )
 
-from _oracles import grid_components, min_relative_value_gap, random_instance
+from _oracles import (
+    grid_components,
+    min_relative_value_gap,
+    pairwise_components,
+    random_instance,
+)
 
 
 class TestSubspaceMin:
@@ -47,35 +52,22 @@ class TestSubspaceMin:
 class TestComponentCount:
     @pytest.mark.parametrize("level,expected_q", [(0.3, 0), (0.75, 2), (1.5, 1)])
     def test_two_axis_landscape(self, saddle_instance, level, expected_q):
-        graph = component_count(saddle_instance, level)
-        assert graph.q == expected_q
+        assert component_count(saddle_instance, level) == expected_q
 
     @pytest.mark.parametrize("level", [0.3, 0.75, 1.5])
     def test_two_axis_landscape_matches_flood_fill(self, saddle_instance, level):
-        assert component_count(saddle_instance, level).q == grid_components(
+        assert component_count(saddle_instance, level) == grid_components(
             saddle_instance, level)
 
     def test_empty_level_set(self, saddle_instance):
-        graph = component_count(saddle_instance, -1.0)
-        assert graph.q == 0
-        assert graph.nodes == []
-
-    def test_monotonicity_of_nodes_and_edges(self):
-        rng = np.random.default_rng(31)
-        inst = random_instance(rng, 3, 4, 2)
-        low = component_count(inst, 0.2)
-        high = component_count(inst, 1.7)
-        assert set(low.nodes) <= set(high.nodes)
-        assert set(low.edges) <= set(high.edges)
+        assert component_count(saddle_instance, -1.0) == 0
 
     def test_connected_above_data_norm_threshold(self):
         rng = np.random.default_rng(32)
         for _ in range(10):
             inst = random_instance(rng, 3, 4, 2)
             threshold = 0.5 * float(inst.b @ inst.b)
-            graph = component_count(inst, threshold + 0.1)
-            assert graph.nodes
-            assert graph.q == 1
+            assert component_count(inst, threshold + 0.1) == 1
 
     def test_bounded_ellipsoids_under_s_regularity(self):
         # finite radius bound: the size-s Gram matrices must be positive definite
@@ -105,7 +97,27 @@ class TestComponentCount:
         levels += [0.5 * (a + b) for a, b in zip(values, values[1:])]
         levels += [values[-1] + 0.5]
         for level in levels[:4]:
-            assert component_count(inst, level).q == grid_components(inst, level)
+            assert component_count(inst, level) == grid_components(inst, level)
+
+    @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column"])
+    @pytest.mark.parametrize("m,n,s", [(4, 7, 2), (5, 8, 3), (4, 5, 4)])
+    def test_matches_pairwise_graph_at_every_value(self, m, n, s, variant):
+        # Every support value and every midpoint between consecutive values:
+        # the union-find pass must give the all-pairs graph's count at each.
+        rng = np.random.default_rng(m * 100 + n * 10 + s)
+        inst = random_instance(rng, m, n, s)
+        A = inst.A.copy()
+        if variant == "zero-column":
+            A[:, 0] = 0.0
+        elif variant == "duplicate-column":
+            A[:, -1] = A[:, 0]
+        inst = Instance.from_arrays(A, inst.b, s)
+        table = support_min_table(inst)
+        values = sorted({sub.min_value for sub in table.values()})
+        levels = values + [0.5 * (a + b) for a, b in zip(values, values[1:])]
+        for level in levels:
+            assert component_count(inst, level, table=table) == pairwise_components(
+                inst, level, table), level
 
 
 class TestSweep:
@@ -145,10 +157,21 @@ class TestSweep:
         sweep = sweep_levels(inst, rep)
         for iv in sweep.intervals:
             qs = {
-                component_count(inst, iv.lo + f * (iv.hi - iv.lo), table=table).q
+                component_count(inst, iv.lo + f * (iv.hi - iv.lo), table=table)
                 for f in (0.25, 0.5, 0.75)
             }
             assert qs == {iv.q}
+
+    def test_s_one_matches_flood_fill(self):
+        # s = 1: every support contains the empty support, so U = () links
+        # all n pieces once the origin is inside the level.
+        rng = np.random.default_rng(41)
+        inst = random_instance(rng, 3, 4, 1, min_sigma=0.35, max_b_norm=2.0)
+        rep = enumerate_stationary(inst)
+        sweep = sweep_levels(inst, rep)
+        assert len(sweep.intervals) >= 3
+        for iv in sweep.intervals:
+            assert iv.q == grid_components(inst, 0.5 * (iv.lo + iv.hi))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_saddle_deltas_with_full_codimension(self, seed):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -152,4 +153,12 @@ class TestInstanceFiles:
         data = {"m": 2, "n": 2, "s": 1, "A": [[1.0, 0.0], [0.0, 1.0]],
                 "b": [0.0, 0.0], "tolerances": {key: 1.0}}
         with pytest.raises(InstanceFormatError, match=f"unknown tolerance key '{key}'"):
+            instance_from_dict(data)
+
+    @pytest.mark.parametrize("value", ["abc", None, [1.0]])
+    def test_non_numeric_tolerance_rejected(self, value):
+        data = {"m": 2, "n": 2, "s": 1, "A": [[1.0, 0.0], [0.0, 1.0]],
+                "b": [0.0, 0.0], "tolerances": {"zero_tol": value}}
+        message = f"tolerance 'zero_tol' must be a number, got {value!r}"
+        with pytest.raises(InstanceFormatError, match=re.escape(message)):
             instance_from_dict(data)
