@@ -48,8 +48,6 @@ from .stationarity import (
     certify,
     classify,
     gradient,
-    is_m_stationary,
-    nd1_vector_direct,
     stationarity_residual,
 )
 from .enumeration import (
@@ -119,10 +117,8 @@ __all__ = [
     "iht_solve",
     "instance_from_dict",
     "instance_to_dict",
-    "is_m_stationary",
     "largest_eigenvalue_gram",
     "load_instance",
-    "nd1_vector_direct",
     "numerical_rank",
     "objective",
     "perturb_instance",

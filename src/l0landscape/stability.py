@@ -4,18 +4,31 @@ Strong stability asks that every sufficiently small perturbation of the data
 leaves exactly one M-stationary point near the original one.  Sampling cannot
 prove that, so verdicts are labeled evidence; nondegeneracy supplies the
 exact criterion, and the probe's role is cross-validation of the two.
+
+A trial only needs the stationary points of the perturbed problem within
+``r = 2 * epsilon`` of the probed point ``x_bar``, so it solves only the
+supports that can hold one.  Every enumerated point is exactly zero off its
+support, so a point within ``r`` of ``x_bar`` is nonzero on every index of
+``C = {i : |x_bar_i| > r}``, and its support contains ``C``.  The candidates
+are the supports ``T`` with ``C <= T`` and ``|T| <= s``; each is solved by
+:func:`enumeration.subspace_min` and kept under the enumerator's own fixpoint
+rule (the solution's support under ``zero_tol`` is ``T``).  The result is
+the enumerator's points within ``r``, bit for bit and in report order,
+without classifying any of them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import Instance
-from .enumeration import LandscapeReport, enumerate_stationary
+from .model import Instance, complement_of, support_of, validate_instance
+from .enumeration import LandscapeReport, subspace_min
 from .stationarity import StationaryPoint
 from .util import rng_for, spawn_seed
 
@@ -41,10 +54,10 @@ class StabilityProbeConfig:
     paper_mode: bool = False
 
     def validate(self) -> None:
-        if not self.epsilon > 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.delta < 0:
-            raise ValidationError(f"delta must be nonnegative, got {self.delta}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValidationError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValidationError(f"delta must be finite and nonnegative, got {self.delta}")
         if self.trials < 1:
             raise ValidationError(f"trials must be at least 1, got {self.trials}")
         if self.seed < 0:
@@ -85,8 +98,8 @@ def perturb_instance(
     standard-normal directions from the given sub-seed and rescale to land on
     the radius exactly.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be nonnegative, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValidationError(f"delta must be finite and nonnegative, got {delta}")
     if delta == 0.0:
         return inst
     if paper_mode:
@@ -103,16 +116,47 @@ def perturb_instance(
 
 
 def default_probe_epsilon(report: LandscapeReport) -> float:
-    """Quarter of the smallest distance between distinct stationary points."""
-    xs = [p.point.x for p in report.points]
-    if len(xs) < 2:
+    """Quarter of the smallest distance between distinct stationary points.
+
+    Each row of pairs is screened by its squared distances in one vector
+    operation; ``np.linalg.norm`` is taken only for the pairs within a
+    relative ``1e-9`` of the row's smallest square, which is far wider than
+    the rounding between the two, so the result is the all-pairs minimum of
+    the ``norm`` values exactly, in memory linear in the point count.
+    """
+    if len(report.points) < 2:
         return 1e-2
-    gaps = [
-        float(np.linalg.norm(a - b))
-        for i, a in enumerate(xs)
-        for b in xs[i + 1 :]
-    ]
-    return 0.25 * min(gaps)
+    xs = np.array([p.point.x for p in report.points])
+    gap = math.inf
+    for i in range(len(xs) - 1):
+        diff = xs[i] - xs[i + 1 :]
+        sq = np.einsum("ij,ij->i", diff, diff)
+        for j in np.nonzero(sq <= sq.min() * (1.0 + 1e-9))[0]:
+            gap = min(gap, float(np.linalg.norm(diff[j])))
+    return 0.25 * gap
+
+
+def _near_stationary_points(inst: Instance, x_bar: np.ndarray, r: float) -> list[np.ndarray]:
+    """The points of ``enumerate_stationary(inst)`` within ``r`` of ``x_bar``.
+
+    Solves only the supports that contain ``C = support_of(x_bar, r)`` (see
+    the module docstring for why no other support can hold such a point) and
+    returns the points in the report's (value, support) order.  Nothing is
+    classified, so a far-off point that fails the stationarity gate of
+    :func:`stationarity.classify` cannot make the trial raise.
+    """
+    validate_instance(inst)
+    core = support_of(x_bar, r)
+    rest = complement_of(core, inst.n)
+    near = []
+    for k in range(inst.s - len(core) + 1):
+        for extra in itertools.combinations(rest, k):
+            sub = subspace_min(inst, core + extra)
+            if (support_of(sub.argmin, inst.tol.zero_tol) == sub.support
+                    and np.linalg.norm(sub.argmin - x_bar) <= r):
+                near.append(sub)
+    near.sort(key=lambda sub: (sub.min_value, sub.support))
+    return [sub.argmin for sub in near]
 
 
 def probe_strong_stability(
@@ -127,6 +171,13 @@ def probe_strong_stability(
     ``2 * epsilon``; the verdict is stable evidence exactly when every trial
     succeeds.  ``agreement`` records whether that matches the nondegeneracy
     certificate, which characterizes strong stability exactly.
+
+    A trial does not enumerate the perturbed landscape: it solves only the
+    supports containing every index where the probed point exceeds
+    ``2 * epsilon`` in magnitude, since a stationary point within
+    ``2 * epsilon`` is nonzero there.  Those supports yield exactly the
+    enumerator's points in that ball, in the same order, so the counts and
+    the sample are those of a full enumeration.
     """
     cfg.validate()
     x_bar = point.point.x
@@ -136,12 +187,10 @@ def probe_strong_stability(
         perturbed = perturb_instance(
             inst, cfg.delta, spawn_seed(cfg.seed, t), paper_mode=cfg.paper_mode
         )
-        rep = enumerate_stationary(perturbed)
-        dists = [float(np.linalg.norm(p.point.x - x_bar)) for p in rep.points]
-        exists = any(d <= cfg.epsilon for d in dists)
-        in_r = [p for p, d in zip(rep.points, dists) if d <= r]
-        unique = exists and len(in_r) == 1
-        nearby = [[float(v) for v in p.point.x] for p in in_r]
+        near = _near_stationary_points(perturbed, x_bar, r)
+        exists = any(np.linalg.norm(x - x_bar) <= cfg.epsilon for x in near)
+        unique = exists and len(near) == 1
+        nearby = [[float(v) for v in x] for x in near]
         return exists, unique, nearby
 
     outcomes = [one_trial(t) for t in range(cfg.trials)]

@@ -100,11 +100,6 @@ def stationarity_residual(inst: Instance, point: FeasiblePoint) -> float:
     return _gradient_and_residual(inst, point)[1]
 
 
-def is_m_stationary(inst: Instance, point: FeasiblePoint) -> bool:
-    """Whether the gradient vanishes on the support, up to ``stat_tol``."""
-    return stationarity_residual(inst, point) <= inst.tol.stat_tol
-
-
 def _stationary_gradient(inst: Instance, point: FeasiblePoint) -> tuple[np.ndarray, float]:
     """Gradient and residual at the point; raises unless it is M-stationary."""
     g, resid = _gradient_and_residual(inst, point)
@@ -113,17 +108,6 @@ def _stationary_gradient(inst: Instance, point: FeasiblePoint) -> tuple[np.ndarr
             f"stationarity residual {resid:.3e} exceeds stat_tol {inst.tol.stat_tol:.3e}"
         )
     return g, resid
-
-
-def nd1_vector_direct(inst: Instance, point: FeasiblePoint) -> np.ndarray:
-    """Gradient entries on the off-support indices, in increasing index order.
-
-    The vector is returned for any stationarity level; ND1 only constrains it
-    when the sparsity constraint is inactive, and :func:`certify` stores an
-    empty vector in that vacuous case.
-    """
-    g, _ = _stationary_gradient(inst, point)
-    return g[list(complement_of(point.support, inst.n))]
 
 
 def certify(inst: Instance, point: FeasiblePoint) -> NondegeneracyCertificate:

@@ -7,7 +7,11 @@ per-stratum grids glued along shared coordinate subspaces, or from the
 all-pairs intersection graph of the support pieces.  Two closed forms
 check the solver and the ND1 certificate: the pseudoinverse of a
 full-column-rank matrix applied through its thin SVD, and the ND1 vector
-written with the orthogonal projector onto the support column span.
+written with the orthogonal projector onto the support column span.  The
+probe's localized search is checked against a filter over the full
+enumeration, and its default radius against the plain all-pairs minimum gap.
+The M-stationarity test and the direct ND1 vector are written from their
+definitions through the public gradient and stationarity residual.
 """
 
 from __future__ import annotations
@@ -20,8 +24,12 @@ import numpy as np
 from l0landscape import (
     FeasiblePoint,
     Instance,
+    NotStationaryError,
     RankDeficiencyError,
     complement_of,
+    enumerate_stationary,
+    gradient,
+    stationarity_residual,
 )
 from l0landscape.levelsets import LEVEL_BAND_REL
 
@@ -215,3 +223,33 @@ def nd1_vector_projection(inst: Instance, point: FeasiblePoint) -> np.ndarray:
     projected_b = A_S @ pseudoinverse_apply(A_S, inst.b)
     comp = complement_of(point.support, inst.n)
     return -(inst.A[:, list(comp)].T @ (inst.b - projected_b))
+
+
+def is_m_stationary(inst: Instance, point: FeasiblePoint) -> bool:
+    """Whether the gradient vanishes on the support, up to ``stat_tol``."""
+    return stationarity_residual(inst, point) <= inst.tol.stat_tol
+
+
+def nd1_vector_direct(inst: Instance, point: FeasiblePoint) -> np.ndarray:
+    """Gradient entries on the off-support indices, in increasing index order.
+
+    Returned for any stationarity level; raises ``NotStationaryError`` unless
+    the point is M-stationary.
+    """
+    resid = stationarity_residual(inst, point)
+    if resid > inst.tol.stat_tol:
+        raise NotStationaryError(
+            f"stationarity residual {resid:.3e} exceeds stat_tol {inst.tol.stat_tol:.3e}"
+        )
+    return gradient(inst, point.x)[list(complement_of(point.support, inst.n))]
+
+
+def near_points_by_enumeration(inst: Instance, x_bar, r: float) -> list[np.ndarray]:
+    """Points of the full enumeration within ``r`` of ``x_bar``, in report order."""
+    return [p.point.x for p in enumerate_stationary(inst).points
+            if np.linalg.norm(p.point.x - x_bar) <= r]
+
+
+def min_gap_pairwise(points) -> float:
+    """Smallest Euclidean distance over all pairs of the given vectors."""
+    return min(float(np.linalg.norm(a - b)) for a, b in itertools.combinations(points, 2))

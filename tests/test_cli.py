@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from l0landscape.cli import main
@@ -149,6 +150,17 @@ class TestErrorPaths:
         assert rc == 2
         assert "out of range" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta", "nan"), ("--delta", "inf"), ("--epsilon", "inf"), ("--epsilon", "nan")])
+    def test_probe_rejects_non_finite_radius(self, capsys, saddle_file, flag, value):
+        rc, out, err = run_cli(capsys, ["probe", "--instance", saddle_file,
+                                        "--seed", "1", "--trials", "2", flag, value])
+        assert rc == 2
+        assert out == ""
+        name = flag.lstrip("-")
+        rule = "nonnegative" if name == "delta" else "positive"
+        assert err == f"error: {name} must be finite and {rule}, got {value}\n"
+
     def test_internal_error_exits_1(self, capsys, saddle_file, monkeypatch):
         import l0landscape.cli as cli_mod
 
@@ -294,6 +306,22 @@ class TestOtherCommands:
         assert rc == 0
         payload = json.loads(out)
         assert payload["verdict"] == "UnstableEvidence"
+
+    def test_probe_duplicate_column_small_delta(self, capsys, tmp_path):
+        # A perturbation of 1e-6 splits the duplicated columns' continuum into
+        # nearly rank-deficient supports far from the probed point; the probe
+        # must not depend on classifying them.
+        m, n, s = 5, 8, 3
+        rng = np.random.default_rng(np.random.SeedSequence((0, m, n, s, 0)))
+        A = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        A[:, -1] = A[:, 0]
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps({"m": m, "n": n, "s": s, "A": A.tolist(), "b": b.tolist()}))
+        rc, out, err = run_cli(capsys, ["probe", "--instance", str(path), "--seed", "3",
+                                        "--trials", "5", "--delta", "1e-6"])
+        assert rc == 0, err
+        assert json.loads(out)["agreement"] is True
 
     def test_iht(self, capsys, saddle_file):
         rc, out, _ = run_cli(capsys, ["iht", "--instance", saddle_file])

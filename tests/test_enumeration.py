@@ -11,7 +11,6 @@ from l0landscape import (
     check_s_regularity,
     enumerate_stationary,
     enumerate_supports,
-    is_m_stationary,
     numerical_rank,
     run_genericity_experiment,
     solve_normal_equations,
@@ -19,6 +18,8 @@ from l0landscape import (
     sweep_levels,
 )
 from l0landscape import enumeration, levelsets
+
+from _oracles import is_m_stationary
 
 TOL = 1e-10
 

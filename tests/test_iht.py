@@ -7,11 +7,10 @@ from l0landscape import (
     enumerate_stationary,
     hard_threshold,
     iht_solve,
-    is_m_stationary,
     objective,
 )
 
-from _oracles import random_instance
+from _oracles import is_m_stationary, random_instance
 
 
 class TestHardThreshold:

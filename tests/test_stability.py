@@ -1,8 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 
 from l0landscape import (
     Instance,
+    NotStationaryError,
     PointKind,
     StabilityProbeConfig,
     StabilityVerdict,
@@ -12,13 +15,32 @@ from l0landscape import (
     perturb_instance,
     probe_strong_stability,
 )
+from l0landscape.stability import _near_stationary_points
 from l0landscape.util import spawn_seed
 
-from _oracles import random_instance
+from _oracles import min_gap_pairwise, near_points_by_enumeration, random_instance
 
 
 def data_distance(a: Instance, b: Instance) -> float:
     return float(np.sqrt(np.sum((a.A - b.A) ** 2) + np.sum((a.b - b.b) ** 2)))
+
+
+def landscape_instance(shape, variant, seed):
+    """Gaussian instance, or its zero-column or duplicate-column variant."""
+    m, n, s = shape
+    inst = random_instance(np.random.default_rng((seed, m, n, s)), m, n, s)
+    A = inst.A.copy()
+    if variant == "zero-column":
+        A[:, 0] = 0.0
+    elif variant == "duplicate-column":
+        A[:, -1] = A[:, 0]
+    return Instance.from_arrays(A, inst.b, s)
+
+
+LANDSCAPES = [(shape, variant, seed)
+              for shape in [(4, 7, 2), (5, 8, 3), (3, 5, 2)]
+              for variant in ["generic", "zero-column", "duplicate-column"]
+              for seed in range(2)]
 
 
 class TestPerturbInstance:
@@ -114,6 +136,17 @@ class TestProbeStrongStability:
         with pytest.raises(ValidationError):
             StabilityProbeConfig(epsilon=0.1, delta=1e-3, trials=0, seed=1).validate()
 
+    @pytest.mark.parametrize("epsilon, delta, message", [
+        (np.inf, 1e-3, "epsilon must be finite and positive, got inf"),
+        (np.nan, 1e-3, "epsilon must be finite and positive, got nan"),
+        (0.1, np.inf, "delta must be finite and nonnegative, got inf"),
+        (0.1, np.nan, "delta must be finite and nonnegative, got nan"),
+    ])
+    def test_config_rejects_non_finite_radii(self, epsilon, delta, message):
+        cfg = StabilityProbeConfig(epsilon=epsilon, delta=delta, trials=5, seed=1)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            cfg.validate()
+
 
 class TestAgreementProperty:
     def test_nondegenerate_points_probe_stable_on_random_instances(self):
@@ -184,3 +217,55 @@ class TestDefaultEpsilon:
     def test_single_point_fallback(self, instability_original):
         rep = enumerate_stationary(instability_original)
         assert default_probe_epsilon(rep) == pytest.approx(1e-2)
+
+    @pytest.mark.parametrize("shape, variant, seed", LANDSCAPES)
+    def test_equals_quarter_of_pairwise_min_gap(self, shape, variant, seed):
+        rep = enumerate_stationary(landscape_instance(shape, variant, seed))
+        assert default_probe_epsilon(rep) == 0.25 * min_gap_pairwise(
+            [p.point.x for p in rep.points])
+
+
+class TestNearStationaryPoints:
+    @pytest.mark.parametrize("shape, variant, seed", LANDSCAPES)
+    def test_matches_full_enumeration(self, shape, variant, seed):
+        inst = landscape_instance(shape, variant, seed)
+        rep = enumerate_stationary(inst)
+        xs = [p.point.x for p in rep.points]
+        epsilon = default_probe_epsilon(rep)
+        # up to three points of every kind, each under both perturbation sizes,
+        # at the probe's radius and at one wide enough to hold three more points
+        kinds = collections.defaultdict(list)
+        for k, p in enumerate(rep.points):
+            kinds[p.kind].append((k, p.point.x))
+        probed = [kx for points in kinds.values() for kx in points[:3]]
+        compared = 0
+        for k, x_bar in probed:
+            wide = sorted(float(np.linalg.norm(x - x_bar)) for x in xs)[min(3, len(xs) - 1)]
+            for delta in (1e-3 * epsilon, 1e-6):
+                perturbed = perturb_instance(inst, delta, spawn_seed(seed, k))
+                for r in (2.0 * epsilon, wide):
+                    try:
+                        expected = near_points_by_enumeration(perturbed, x_bar, r)
+                    except NotStationaryError:
+                        continue
+                    got = _near_stationary_points(perturbed, x_bar, r)
+                    assert len(got) == len(expected)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+                    compared += 1
+        assert compared > 0
+
+    def test_two_points_in_range(self, instability_perturbed):
+        # The origin lies 0.1 from x_bar = (0.1, 0), inside r = 0.12, although
+        # x_bar's nonzero entry is below r: the search must not require it.
+        x_bar = np.array([0.1, 0.0])
+        got = _near_stationary_points(instability_perturbed, x_bar, 0.12)
+        expected = near_points_by_enumeration(instability_perturbed, x_bar, 0.12)
+        assert len(got) == len(expected) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        point = enumerate_stationary(instability_perturbed).points[0]
+        np.testing.assert_array_equal(point.point.x, x_bar)
+        cfg = StabilityProbeConfig(epsilon=0.06, delta=1e-4, trials=5, seed=4)
+        probe = probe_strong_stability(instability_perturbed, point, cfg)
+        assert probe.exists_count == 5
+        assert probe.unique_count == 0
+        assert all(len(sample) == 2 for sample in probe.perturbed_points_sample)

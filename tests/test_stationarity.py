@@ -14,12 +14,10 @@ from l0landscape import (
     certify,
     classify,
     gradient,
-    is_m_stationary,
-    nd1_vector_direct,
     objective,
 )
 
-from _oracles import fd_gradient, nd1_vector_projection
+from _oracles import fd_gradient, is_m_stationary, nd1_vector_direct, nd1_vector_projection
 
 
 def point(inst, coords):
