@@ -14,8 +14,6 @@ from .errors import (
     L0LandscapeError,
     MeasurementBoundError,
     NonFiniteDataError,
-    NotStationaryError,
-    RankDeficiencyError,
     SparsityRangeError,
     ToleranceError,
     ValidationError,
@@ -45,7 +43,6 @@ from .stationarity import (
     PointKind,
     StationaryPoint,
     cell_attachment,
-    certify,
     classify,
     gradient,
     stationarity_residual,
@@ -88,9 +85,7 @@ __all__ = [
     "MeasurementBoundError",
     "NonFiniteDataError",
     "NondegeneracyCertificate",
-    "NotStationaryError",
     "PointKind",
-    "RankDeficiencyError",
     "SparsityRangeError",
     "StabilityProbeConfig",
     "StabilityReport",
@@ -103,7 +98,6 @@ __all__ = [
     "ToleranceError",
     "ValidationError",
     "cell_attachment",
-    "certify",
     "check_s_regularity",
     "classify",
     "complement_of",

@@ -1,12 +1,13 @@
 """Exhaustive M-stationary-point enumeration and landscape reporting.
 
 Every support of size at most ``s`` is solved once by least squares on its
-column submatrix; the points, the s-regularity verdict and the level sweep
-are all read from that one table.  Each solution is M-stationary by
-construction because its gradient vanishes on the solved support, which
-contains the solution's own support.  Two solutions are the same point
-exactly when their supports under ``zero_tol`` agree, so solutions found
-through different supersets of one support collapse to a single record.
+column submatrix; the points, their ND2 verdicts, the s-regularity verdict
+and the level sweep are all read from that one table.  Each solution is
+M-stationary by construction because its gradient vanishes on the solved
+support, which contains the solution's own support.  Two solutions are the
+same point exactly when their supports under ``zero_tol`` agree, so
+solutions found through different supersets of one support collapse to a
+single record.
 Rank-deficient solves certify a continuum of stationary points; the
 minimum-norm representative is kept and reported as degenerate.
 """
@@ -184,8 +185,11 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
     """Enumerate and classify every M-stationary point.
 
     Two solutions are the same point exactly when they have the same support
-    under ``zero_tol``, so each fixpoint support is reported once.  The result
-    is deterministic: the list is sorted by (value, support).
+    under ``zero_tol``, so each fixpoint support is reported once.  Each point
+    is classified from its table entry: ND2 is the support's rank verdict, and
+    the stationarity residual is reported, not gated, so the enumeration never
+    raises on its own solves.  The result is deterministic: the list is sorted
+    by (value, support).
     """
     validate_instance(inst)
     zero_tol = inst.tol.zero_tol
@@ -207,7 +211,7 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
     # so U is the point's support and each fixpoint support is one point.
     points: list[StationaryPoint] = []
     for U, deficient in finals.items():
-        sp = classify(inst, FeasiblePoint(x=table[U].argmin, support=U))
+        sp = classify(inst, FeasiblePoint(x=table[U].argmin, support=U), table[U].full_rank)
         if deficient and sp.kind is not PointKind.DEGENERATE:
             sp = replace(sp, kind=PointKind.DEGENERATE)
         points.append(sp)

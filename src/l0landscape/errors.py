@@ -33,13 +33,5 @@ class InstanceFormatError(ValidationError):
     """An instance file could not be parsed; the message is line-precise."""
 
 
-class RankDeficiencyError(L0LandscapeError):
-    """An operation required full column rank but the matrix does not have it."""
-
-
-class NotStationaryError(L0LandscapeError):
-    """An operation required an M-stationary point but the residual is too large."""
-
-
 class InfeasiblePointError(L0LandscapeError):
     """A point violates the sparsity constraint of the instance."""

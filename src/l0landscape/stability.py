@@ -142,8 +142,7 @@ def _near_stationary_points(inst: Instance, x_bar: np.ndarray, r: float) -> list
     Solves only the supports that contain ``C = support_of(x_bar, r)`` (see
     the module docstring for why no other support can hold such a point) and
     returns the points in the report's (value, support) order.  Nothing is
-    classified, so a far-off point that fails the stationarity gate of
-    :func:`stationarity.classify` cannot make the trial raise.
+    classified.
     """
     validate_instance(inst)
     core = support_of(x_bar, r)

@@ -13,6 +13,11 @@ Nondegenerate points are classified by their sparsity level: full support
 means local minimizer, support size ``s - 1`` means saddle point, anything
 smaller is a lower-order stationary point.  Points failing ND1 or ND2 are
 reported as degenerate without attempting a minimizer/saddle label.
+
+The points classified here are least-squares solves of their supports, so
+they are M-stationary by construction: :func:`classify` reports the
+stationarity residual but never gates on it, and takes ND2 from the rank
+verdict the support table already made for the support.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InfeasiblePointError, NotStationaryError
-from .linalg import numerical_rank
+from .errors import DimensionMismatchError, InfeasiblePointError
 from .model import FeasiblePoint, Instance, complement_of, objective
 
 
@@ -52,7 +56,6 @@ class NondegeneracyCertificate:
     nd1_min_abs: float
     nd1_near_degenerate: bool
     nd2_holds: bool
-    support_rank: int
 
     @property
     def nondegenerate(self) -> bool:
@@ -100,49 +103,28 @@ def stationarity_residual(inst: Instance, point: FeasiblePoint) -> float:
     return _gradient_and_residual(inst, point)[1]
 
 
-def _stationary_gradient(inst: Instance, point: FeasiblePoint) -> tuple[np.ndarray, float]:
-    """Gradient and residual at the point; raises unless it is M-stationary."""
-    g, resid = _gradient_and_residual(inst, point)
-    if resid > inst.tol.stat_tol:
-        raise NotStationaryError(
-            f"stationarity residual {resid:.3e} exceeds stat_tol {inst.tol.stat_tol:.3e}"
-        )
-    return g, resid
+def classify(inst: Instance, point: FeasiblePoint, full_rank: bool) -> StationaryPoint:
+    """Certify and classify a point by nondegeneracy and sparsity level.
 
-
-def certify(inst: Instance, point: FeasiblePoint) -> NondegeneracyCertificate:
-    """Evaluate ND1 and ND2 at an M-stationary point.
-
-    ND1 uses a strict threshold: entries must exceed ``stat_tol`` in absolute
-    value.  A smallest magnitude in ``(0, stat_tol]`` is a failure with the
-    near-degenerate warning set, since floating point cannot certify exact
-    nonvanishing.
+    ``full_rank`` is the rank verdict on the support columns, read from the
+    support table, and decides ND2.  ND1 uses a strict threshold: entries
+    must exceed ``stat_tol`` in absolute value.  A smallest magnitude in
+    ``(0, stat_tol]`` is a failure with the near-degenerate warning set,
+    since floating point cannot certify exact nonvanishing.  The
+    stationarity residual is reported, never checked against a tolerance.
     """
-    return _certify(inst, point, _stationary_gradient(inst, point)[0])
-
-
-def _certify(inst: Instance, point: FeasiblePoint, g: np.ndarray) -> NondegeneracyCertificate:
-    """:func:`certify` at a point already checked stationary, with gradient ``g``."""
+    g, resid = _gradient_and_residual(inst, point)
     k = len(point.support)
-    support_rank = numerical_rank(inst.A[:, list(point.support)], inst.tol.rank_tol)
     vec = np.zeros(0) if k == inst.s else g[list(complement_of(point.support, inst.n))]
     min_abs = float(np.min(np.abs(vec), initial=math.inf))
     nd1 = min_abs > inst.tol.stat_tol
-    return NondegeneracyCertificate(
+    cert = NondegeneracyCertificate(
         nd1_holds=nd1,
         nd1_vector=vec,
         nd1_min_abs=min_abs,
         nd1_near_degenerate=(not nd1) and min_abs > 0.0,
-        nd2_holds=support_rank == k,
-        support_rank=support_rank,
+        nd2_holds=full_rank,
     )
-
-
-def classify(inst: Instance, point: FeasiblePoint) -> StationaryPoint:
-    """Classify an M-stationary point by nondegeneracy and sparsity level."""
-    g, resid = _stationary_gradient(inst, point)
-    cert = _certify(inst, point, g)
-    k = len(point.support)
     if not cert.nondegenerate:
         kind = PointKind.DEGENERATE
     elif k == inst.s:

@@ -11,7 +11,9 @@ written with the orthogonal projector onto the support column span.  The
 probe's localized search is checked against a filter over the full
 enumeration, and its default radius against the plain all-pairs minimum gap.
 The M-stationarity test and the direct ND1 vector are written from their
-definitions through the public gradient and stationarity residual.
+definitions through the public gradient and stationarity residual.  The
+errors these oracles raise for a rank-deficient matrix or a non-stationary
+point are defined here, since nothing in the package raises them.
 """
 
 from __future__ import annotations
@@ -24,14 +26,21 @@ import numpy as np
 from l0landscape import (
     FeasiblePoint,
     Instance,
-    NotStationaryError,
-    RankDeficiencyError,
+    L0LandscapeError,
     complement_of,
     enumerate_stationary,
     gradient,
     stationarity_residual,
 )
 from l0landscape.levelsets import LEVEL_BAND_REL
+
+
+class RankDeficiencyError(L0LandscapeError):
+    """An operation required full column rank but the matrix does not have it."""
+
+
+class NotStationaryError(L0LandscapeError):
+    """An operation required an M-stationary point but the residual is too large."""
 
 
 def grid_refine_min(A, b, radius: float | None = None, levels: int = 45,
@@ -177,6 +186,24 @@ def random_instance(rng, m: int, n: int, s: int, tol=None,
             if worst < min_sigma:
                 continue
         return Instance.from_arrays(A, b, s, tol)
+
+
+def landscape_instance(shape, variant, seed):
+    """Gaussian instance, or its zero-column or duplicate-column variant."""
+    m, n, s = shape
+    inst = random_instance(np.random.default_rng((seed, m, n, s)), m, n, s)
+    A = inst.A.copy()
+    if variant == "zero-column":
+        A[:, 0] = 0.0
+    elif variant == "duplicate-column":
+        A[:, -1] = A[:, 0]
+    return Instance.from_arrays(A, inst.b, s)
+
+
+LANDSCAPES = [(shape, variant, seed)
+              for shape in [(4, 7, 2), (5, 8, 3), (3, 5, 2)]
+              for variant in ["generic", "zero-column", "duplicate-column"]
+              for seed in range(2)]
 
 
 def min_relative_value_gap(values) -> float:

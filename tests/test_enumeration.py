@@ -192,6 +192,17 @@ class TestPointIdentity:
         assert rep.continuum_detected
         self._assert_points_are_fixpoint_supports(inst, rep)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_scaled_data_reports_every_fixpoint_support(self, scale):
+        # Scaling the data leaves the solves' supports alone but scales their
+        # gradient rounding past stat_tol; the enumeration must still report
+        # every fixpoint support rather than reject its own solves.
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((5, 7))
+        b = rng.standard_normal(5)
+        inst = Instance.from_arrays(scale * A, scale * b, 3)
+        self._assert_points_are_fixpoint_supports(inst, enumerate_stationary(inst))
+
 
 class TestOneSolvePerSupport:
     @staticmethod

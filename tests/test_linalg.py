@@ -4,13 +4,12 @@ import pytest
 from l0landscape import (
     DimensionMismatchError,
     NonFiniteDataError,
-    RankDeficiencyError,
     largest_eigenvalue_gram,
     numerical_rank,
     solve_normal_equations,
 )
 
-from _oracles import grid_refine_min, pseudoinverse_apply
+from _oracles import RankDeficiencyError, grid_refine_min, pseudoinverse_apply
 
 TOL = 1e-10
 

@@ -7,21 +7,35 @@ from l0landscape import (
     FeasiblePoint,
     InfeasiblePointError,
     Instance,
-    NotStationaryError,
     PointKind,
-    RankDeficiencyError,
     cell_attachment,
-    certify,
     classify,
+    enumerate_stationary,
     gradient,
+    numerical_rank,
     objective,
+    subspace_min,
 )
 
-from _oracles import fd_gradient, is_m_stationary, nd1_vector_direct, nd1_vector_projection
+from _oracles import (
+    LANDSCAPES,
+    NotStationaryError,
+    RankDeficiencyError,
+    fd_gradient,
+    is_m_stationary,
+    landscape_instance,
+    nd1_vector_direct,
+    nd1_vector_projection,
+)
 
 
 def point(inst, coords):
     return FeasiblePoint.from_vector(coords, inst.tol.zero_tol)
+
+
+def classified(inst, fp):
+    """``classify`` with ND2 read from the support's subspace solve."""
+    return classify(inst, fp, subspace_min(inst, fp.support).full_rank)
 
 
 class TestGradient:
@@ -76,7 +90,7 @@ class TestNd1Vectors:
         np.testing.assert_allclose(vec, [-1.0])
 
     def test_certificate_vector_empty_at_full_support(self, saddle_instance):
-        cert = certify(saddle_instance, point(saddle_instance, [1.0, 0.0]))
+        cert = classified(saddle_instance, point(saddle_instance, [1.0, 0.0])).cert
         assert cert.nd1_vector.shape == (0,)
 
     def test_direct_requires_stationarity(self, saddle_instance):
@@ -117,14 +131,14 @@ class TestNd1Vectors:
 
 class TestCertify:
     def test_zero_data_origin_fails_nd1(self, instability_original):
-        cert = certify(instability_original, point(instability_original, [0.0, 0.0]))
+        cert = classified(instability_original, point(instability_original, [0.0, 0.0])).cert
         assert not cert.nd1_holds
         assert cert.nd1_min_abs == 0.0
         assert not cert.nd1_near_degenerate
         assert cert.nd2_holds
 
     def test_full_support_point_is_nd1_vacuous(self, instability_perturbed):
-        cert = certify(instability_perturbed, point(instability_perturbed, [0.1, 0.0]))
+        cert = classified(instability_perturbed, point(instability_perturbed, [0.1, 0.0])).cert
         assert cert.nd1_holds
         assert cert.nd1_vector.shape == (0,)
         assert math.isinf(cert.nd1_min_abs)
@@ -133,36 +147,35 @@ class TestCertify:
 
     def test_duplicated_columns_fail_nd2(self):
         inst = Instance.from_arrays([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 0.0], 2)
-        cert = certify(inst, point(inst, [0.5, 0.5, 0.0]))
+        cert = classified(inst, point(inst, [0.5, 0.5, 0.0])).cert
         assert not cert.nd2_holds
-        assert cert.support_rank == 1
 
     def test_near_degenerate_flagged(self):
         # off-support gradient magnitudes sit inside (0, stat_tol]
         inst = Instance.from_arrays(np.eye(2), [5e-9, 3e-9], 1)
-        cert = certify(inst, point(inst, [0.0, 0.0]))
+        cert = classified(inst, point(inst, [0.0, 0.0])).cert
         assert not cert.nd1_holds
         assert cert.nd1_near_degenerate
 
 
 class TestClassify:
     def test_perturbed_minimizer(self, instability_perturbed):
-        sp = classify(instability_perturbed, point(instability_perturbed, [0.1, 0.0]))
+        sp = classified(instability_perturbed, point(instability_perturbed, [0.1, 0.0]))
         assert sp.kind is PointKind.LOCAL_MINIMIZER
         assert sp.value == pytest.approx(0.005)
 
     def test_perturbed_origin_is_saddle(self, instability_perturbed):
-        sp = classify(instability_perturbed, point(instability_perturbed, [0.0, 0.0]))
+        sp = classified(instability_perturbed, point(instability_perturbed, [0.0, 0.0]))
         assert sp.kind is PointKind.SADDLE_POINT
 
     def test_zero_data_origin_is_degenerate(self, instability_original):
-        sp = classify(instability_original, point(instability_original, [0.0, 0.0]))
+        sp = classified(instability_original, point(instability_original, [0.0, 0.0]))
         assert sp.kind is PointKind.DEGENERATE
 
     def test_lower_order_point(self):
         # s = 2 over identity sensing with a single active measurement
         inst = Instance.from_arrays(np.eye(3), [0.7, 0.8, 0.9], 2)
-        sp = classify(inst, point(inst, [0.0, 0.0, 0.0]))
+        sp = classified(inst, point(inst, [0.0, 0.0, 0.0]))
         assert sp.kind is PointKind.LOWER_ORDER
 
     @pytest.mark.parametrize("seed", range(5))
@@ -180,11 +193,20 @@ class TestClassify:
         inst_scaled = Instance.from_arrays(scale * A, scale * b, 2)
         for p in report.points:
             x_perm = p.point.x[perm]
-            sp_perm = classify(inst_perm, FeasiblePoint.from_vector(x_perm, 1e-9))
+            sp_perm = classified(inst_perm, FeasiblePoint.from_vector(x_perm, 1e-9))
             assert sp_perm.kind is p.kind
-            sp_scaled = classify(inst_scaled, p.point)
+            sp_scaled = classified(inst_scaled, p.point)
             assert sp_scaled.kind is p.kind
             assert sp_scaled.value == pytest.approx(scale**2 * p.value)
+
+    @pytest.mark.parametrize("shape, variant, seed", LANDSCAPES)
+    def test_enumerated_nd2_is_support_rank_and_value_is_objective(self, shape, variant, seed):
+        inst = landscape_instance(shape, variant, seed)
+        for p in enumerate_stationary(inst).points:
+            U = list(p.point.support)
+            full_rank = numerical_rank(inst.A[:, U], inst.tol.rank_tol) == len(U)
+            assert p.cert.nd2_holds is full_rank
+            assert p.value == objective(inst, p.point.x)
 
 
 class TestBehavioralClassification:
