@@ -2,7 +2,9 @@
 
 Every support of size at most ``s`` is solved once by least squares on its
 column submatrix; the points, their ND2 verdicts, the s-regularity verdict
-and the level sweep are all read from that one table.  Each solution is
+and the level sweep are all read from that one table.  It is built one
+support size at a time: one stacked SVD decides the ranks of all supports of
+a size, and one ``lstsq`` per support gives its argmin.  Each solution is
 M-stationary by construction because its gradient vanishes on the solved
 support, which contains the solution's own support.  Two solutions are the
 same point exactly when their supports under ``zero_tol`` agree, so
@@ -18,7 +20,7 @@ import itertools
 import json
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .model import (
     Support,
     ToleranceConfig,
     instance_to_dict,
-    objective,
     support_of,
     support_to_json,
     validate_instance,
@@ -138,12 +139,15 @@ def enumerate_supports(n: int, s: int) -> Iterator[Support]:
         yield from itertools.combinations(range(n), k)
 
 
-def _s_regularity(
-    n: int, s: int, full_rank: Callable[[Support], bool]
-) -> tuple[bool, Support | None]:
+def _s_regularity(verdicts: Iterable[tuple[Support, bool]]) -> tuple[bool, Support | None]:
     """s-regular unless a size-s support lacks full rank; the witness is the lex-first one."""
-    witness = next((S for S in itertools.combinations(range(n), s) if not full_rank(S)), None)
+    witness = next((S for S, full in verdicts if not full), None)
     return witness is None, witness
+
+
+def _column_stack(A: np.ndarray, supports: list[Support]) -> np.ndarray:
+    """The ``(N, m, k)`` stack of the submatrices ``A[:, S]`` of N supports of one size k."""
+    return A.T[np.array(supports, dtype=int)].transpose(0, 2, 1)
 
 
 def check_s_regularity(A, s: int, rank_tol: float) -> tuple[bool, Support | None]:
@@ -152,28 +156,36 @@ def check_s_regularity(A, s: int, rank_tol: float) -> tuple[bool, Support | None
     m, n = A.shape
     if not 0 <= s <= min(m, n):
         raise ValidationError(f"need 0 <= s <= min(m, n), got s={s} for shape {A.shape}")
-    return _s_regularity(n, s, lambda S: numerical_rank(A[:, S], rank_tol) == s)
+    supports = list(itertools.combinations(range(n), s))
+    return _s_regularity(zip(supports, numerical_rank(_column_stack(A, supports), rank_tol) == s))
+
+
+def _solve_supports(inst: Instance, supports: list[Support]) -> list[SupportSubspace]:
+    """Subspace minima of same-size supports: one stacked SVD, one ``lstsq`` each."""
+    stack = _column_stack(inst.A, supports)
+    full_rank = numerical_rank(stack, inst.tol.rank_tol) == stack.shape[2]
+    Z = solve_normal_equations(stack, inst.b, inst.tol.rank_tol)
+    subs = []
+    for S, z, full in zip(supports, Z, full_rank.tolist()):
+        x = np.zeros(inst.n)
+        x[list(S)] = z
+        r = inst.A @ x - inst.b  # the arithmetic of objective(inst, x), bit for bit
+        subs.append(SupportSubspace(S, 0.5 * float(r @ r), x, full))
+    return subs
 
 
 def subspace_min(inst: Instance, support: Support) -> SupportSubspace:
-    """Least-squares minimum of the objective over one coordinate subspace."""
+    """Least-squares minimum of the objective over one coordinate subspace (a stack of one)."""
     support = tuple(sorted(int(i) for i in support))
     if len(support) > inst.s or any(not 0 <= i < inst.n for i in support):
         raise ValidationError(f"support {support} out of range for n={inst.n}, s={inst.s}")
-    z, full_rank = solve_normal_equations(inst.A[:, list(support)], inst.b, inst.tol.rank_tol)
-    x = np.zeros(inst.n)
-    x[list(support)] = z
-    return SupportSubspace(
-        support=support,
-        min_value=objective(inst, x),
-        argmin=x,
-        full_rank=full_rank,
-    )
+    return _solve_supports(inst, [support])[0]
 
 
 def support_min_table(inst: Instance) -> dict[Support, SupportSubspace]:
-    """Subspace minima for every support of size at most s, keyed by support."""
-    return {S: subspace_min(inst, S) for S in enumerate_supports(inst.n, inst.s)}
+    """Subspace minima for every support of size at most s, one size at a time."""
+    sizes = itertools.groupby(enumerate_supports(inst.n, inst.s), key=len)
+    return {sub.support: sub for _, group in sizes for sub in _solve_supports(inst, list(group))}
 
 
 def values_tie(a: float, b: float) -> bool:
@@ -222,7 +234,8 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
     r1 = sum(p.kind is PointKind.SADDLE_POINT for p in points)
     lower = sum(p.kind is PointKind.LOWER_ORDER for p in points)
     degen = sum(p.kind is PointKind.DEGENERATE for p in points)
-    s_regular, witness = _s_regularity(inst.n, inst.s, lambda S: table[S].full_rank)
+    s_regular, witness = _s_regularity(
+        (S, sub.full_rank) for S, sub in table.items() if len(S) == inst.s)
     lhs = (inst.n - inst.s) * r1
     rhs = r - 1
     ties = any(values_tie(p.value, q.value) for p, q in zip(points, points[1:]))

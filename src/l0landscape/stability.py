@@ -118,21 +118,27 @@ def perturb_instance(
 def default_probe_epsilon(report: LandscapeReport) -> float:
     """Quarter of the smallest distance between distinct stationary points.
 
-    Each row of pairs is screened by its squared distances in one vector
-    operation; ``np.linalg.norm`` is taken only for the pairs within a
-    relative ``1e-9`` of the row's smallest square, which is far wider than
-    the rounding between the two, so the result is the all-pairs minimum of
-    the ``norm`` values exactly, in memory linear in the point count.
+    Points are sorted by norm; by the reverse triangle inequality a pair closer
+    than the best gap so far has norms within that gap, so each point meets
+    only the later points in that window, widened by a relative ``1e-9`` for
+    rounded norms.  ``np.linalg.norm`` is taken only within a relative ``1e-9``
+    of a window's smallest squared distance, far wider than their rounding, so
+    the result is the all-pairs minimum of the ``norm`` values exactly.
     """
     if len(report.points) < 2:
         return 1e-2
     xs = np.array([p.point.x for p in report.points])
+    norms = np.linalg.norm(xs, axis=1)
+    order = np.argsort(norms)
+    xs, norms = xs[order], norms[order]
     gap = math.inf
     for i in range(len(xs) - 1):
-        diff = xs[i] - xs[i + 1 :]
-        sq = np.einsum("ij,ij->i", diff, diff)
-        for j in np.nonzero(sq <= sq.min() * (1.0 + 1e-9))[0]:
-            gap = min(gap, float(np.linalg.norm(diff[j])))
+        end = np.searchsorted(norms, (norms[i] + gap) * (1.0 + 1e-9), side="right")
+        if end > i + 1:
+            diff = xs[i] - xs[i + 1 : end]
+            sq = np.einsum("ij,ij->i", diff, diff)
+            for j in np.nonzero(sq <= sq.min() * (1.0 + 1e-9))[0]:
+                gap = min(gap, float(np.linalg.norm(diff[j])))
     return 0.25 * gap
 
 

@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, InfeasiblePointError
-from .model import FeasiblePoint, Instance, complement_of, objective
+from .model import FeasiblePoint, Instance, complement_of
 
 
 class PointKind(str, Enum):
@@ -89,18 +89,15 @@ def gradient(inst: Instance, x) -> np.ndarray:
     return inst.A.T @ (inst.A @ x - inst.b)
 
 
-def _gradient_and_residual(inst: Instance, point: FeasiblePoint) -> tuple[np.ndarray, float]:
+def _max_on_support(inst: Instance, point: FeasiblePoint, g: np.ndarray) -> float:
     if len(point.support) > inst.s:
-        raise InfeasiblePointError(
-            f"point has {len(point.support)} nonzeros but s={inst.s}"
-        )
-    g = gradient(inst, point.x)
-    return g, float(np.max(np.abs(g[list(point.support)]), initial=0.0))
+        raise InfeasiblePointError(f"point has {len(point.support)} nonzeros but s={inst.s}")
+    return float(np.max(np.abs(g[list(point.support)]), initial=0.0))
 
 
 def stationarity_residual(inst: Instance, point: FeasiblePoint) -> float:
     """Max-norm of the gradient restricted to the support (0 for empty support)."""
-    return _gradient_and_residual(inst, point)[1]
+    return _max_on_support(inst, point, gradient(inst, point.x))
 
 
 def classify(inst: Instance, point: FeasiblePoint, full_rank: bool) -> StationaryPoint:
@@ -113,7 +110,14 @@ def classify(inst: Instance, point: FeasiblePoint, full_rank: bool) -> Stationar
     since floating point cannot certify exact nonvanishing.  The
     stationarity residual is reported, never checked against a tolerance.
     """
-    g, resid = _gradient_and_residual(inst, point)
+    x = np.asarray(point.x, dtype=float)
+    if x.shape != (inst.n,):
+        raise DimensionMismatchError(f"x must have length {inst.n}, got shape {x.shape}")
+    # The value and the gradient come from one residual by the operations of
+    # ``objective`` and ``gradient``, so both are bit for bit theirs.
+    r = inst.A @ x - inst.b
+    g = inst.A.T @ r
+    resid = _max_on_support(inst, point, g)
     k = len(point.support)
     vec = np.zeros(0) if k == inst.s else g[list(complement_of(point.support, inst.n))]
     min_abs = float(np.min(np.abs(vec), initial=math.inf))
@@ -135,7 +139,7 @@ def classify(inst: Instance, point: FeasiblePoint, full_rank: bool) -> Stationar
         kind = PointKind.LOWER_ORDER
     return StationaryPoint(
         point=point,
-        value=objective(inst, point.x),
+        value=0.5 * float(r @ r),
         stationarity_residual=resid,
         cert=cert,
         kind=kind,

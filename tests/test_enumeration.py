@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from l0landscape import (
+    FeasiblePoint,
     Instance,
     PointKind,
+    ToleranceConfig,
     check_s_regularity,
+    classify,
     enumerate_stationary,
     enumerate_supports,
     numerical_rank,
+    objective,
     run_genericity_experiment,
     solve_normal_equations,
     support_of,
@@ -93,7 +97,8 @@ class TestEnumerateStationary:
         rep = enumerate_stationary(inst)
         for p in rep.points:
             S = list(p.point.support)
-            z, full = solve_normal_equations(inst.A[:, S], inst.b, inst.tol.rank_tol)
+            z = solve_normal_equations(inst.A[:, S][np.newaxis], inst.b, inst.tol.rank_tol)[0]
+            full = numerical_rank(inst.A[:, S], inst.tol.rank_tol) == len(S)
             assert full
             x = np.zeros(inst.n)
             x[S] = z
@@ -220,9 +225,9 @@ class TestOneSolvePerSupport:
         inst = self._instance(variant)
         sizes = []
 
-        def counting_solve(A_S, b, rank_tol):
-            sizes.append(A_S.shape[1])
-            return solve_normal_equations(A_S, b, rank_tol)
+        def counting_solve(stack, b, rank_tol):
+            sizes.extend([stack.shape[2]] * stack.shape[0])
+            return solve_normal_equations(stack, b, rank_tol)
 
         # Patch every module that could solve supports, so any solve is counted.
         for module in (enumeration, levelsets):
@@ -236,6 +241,44 @@ class TestOneSolvePerSupport:
         assert sizes == []
         assert (report.s_regular, report.s_regularity_witness) == check_s_regularity(
             inst.A, inst.s, inst.tol.rank_tol)
+
+
+def duplicate_column_instance(shape=(6, 10, 3), seed=0):
+    """Gaussian data whose last column copies the first, drawn as the benchmark draws it."""
+    m, n, s = shape
+    rng = np.random.default_rng(np.random.SeedSequence((seed, m, n, s, 0)))
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    A[:, -1] = A[:, 0]
+    return Instance.from_arrays(A, b, s)
+
+
+class TestStackedTable:
+    @pytest.mark.parametrize("rank_tol", [None, 0.0, 1.0])
+    @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column"])
+    def test_full_rank_is_the_rank_rule_per_support(self, variant, rank_tol):
+        base = TestOneSolvePerSupport._instance(variant)
+        inst = Instance.from_arrays(base.A, base.b, base.s, ToleranceConfig(rank_tol=rank_tol))
+        table = enumerate_stationary(inst).table
+        assert list(table) == list(enumerate_supports(inst.n, inst.s))
+        for S, sub in table.items():
+            assert sub.full_rank == (numerical_rank(inst.A[:, S], inst.tol.rank_tol) == len(S))
+
+    def test_points_are_classified_by_the_pointwise_rule(self):
+        # Every reported point must carry the certificate and value that
+        # classify and objective give it one point at a time; a gradient
+        # batched over all points rounds the ND1 entries differently here.
+        inst = duplicate_column_instance()
+        rep = enumerate_stationary(inst)
+        assert rep.degenerate > 0
+        for p in rep.points:
+            U = p.point.support
+            one = classify(inst, FeasiblePoint(x=p.point.x, support=U), rep.table[U].full_rank)
+            assert p.value == one.value == objective(inst, p.point.x)
+            assert p.cert.nd1_holds == one.cert.nd1_holds
+            assert p.cert.nd1_near_degenerate == one.cert.nd1_near_degenerate
+            assert p.cert.nd1_min_abs == one.cert.nd1_min_abs
+            assert np.array_equal(p.cert.nd1_vector, one.cert.nd1_vector)
 
 
 class TestSRegularity:

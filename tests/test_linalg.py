@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from l0landscape import (
     DimensionMismatchError,
     NonFiniteDataError,
+    default_rank_tol,
     largest_eigenvalue_gram,
     numerical_rank,
     solve_normal_equations,
@@ -12,6 +15,13 @@ from l0landscape import (
 from _oracles import RankDeficiencyError, grid_refine_min, pseudoinverse_apply
 
 TOL = 1e-10
+
+
+def solve_one(A, b, rank_tol=TOL):
+    """``solve_normal_equations`` on a stack of one matrix, with its rank verdict."""
+    A = np.asarray(A, dtype=float)
+    z = solve_normal_equations(A[np.newaxis], b, rank_tol)[0]
+    return z, numerical_rank(A, rank_tol) == A.shape[1]
 
 
 class TestNumericalRank:
@@ -45,14 +55,63 @@ class TestNumericalRank:
         assert numerical_rank(-0.003 * A, TOL) == base
 
 
+def column_stacks(variant):
+    """Per support size k = 0..3, the stack of every 5 x k column submatrix of 5x7 data."""
+    A = np.random.default_rng(17).standard_normal((5, 7))
+    if variant == "zero-column":
+        A[:, 0] = 0.0
+    elif variant == "duplicate-column":
+        A[:, -1] = A[:, 0]
+    return [np.array([A[:, list(S)] for S in itertools.combinations(range(7), k)])
+            for k in range(4)]
+
+
+class TestStackedNumericalRank:
+    @pytest.mark.parametrize("rank_tol", [default_rank_tol(5, 7), 0.0, 1.0])
+    @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column"])
+    def test_stack_equals_per_matrix_calls(self, variant, rank_tol):
+        for stack in column_stacks(variant):
+            ranks = numerical_rank(stack, rank_tol)
+            assert ranks.shape == (len(stack),)
+            assert ranks.tolist() == [numerical_rank(M, rank_tol) for M in stack]
+
+    @pytest.mark.parametrize("rank_tol", [TOL, 0.0, 1.0])
+    def test_all_zero_matrix_in_a_stack(self, rank_tol):
+        stack = np.array([np.eye(3, 2), np.zeros((3, 2)), [[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]])
+        ranks = numerical_rank(stack, rank_tol)
+        assert ranks.tolist() == [numerical_rank(M, rank_tol) for M in stack]
+        assert ranks[1] == 0
+
+    def test_empty_k_zero_stack(self):
+        ranks = numerical_rank(np.zeros((4, 3, 0)), TOL)
+        assert ranks.tolist() == [0, 0, 0, 0]
+
+    def test_single_matrix_gives_an_int(self):
+        rank = numerical_rank(np.eye(3, 2), TOL)
+        assert type(rank) is int and rank == 2
+
+
 class TestSolveNormalEquations:
+    def test_stack_rows_equal_stacks_of_one(self):
+        b = np.random.default_rng(3).standard_normal(5)
+        for variant in ["generic", "duplicate-column"]:
+            for stack in column_stacks(variant):
+                Z = solve_normal_equations(stack, b, TOL)
+                assert Z.shape == stack.shape[::2]
+                for A_S, z in zip(stack, Z):
+                    assert np.array_equal(z, solve_one(A_S, b)[0])
+
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(DimensionMismatchError):
+            solve_normal_equations(np.eye(2), [1.0, 2.0], TOL)
+
     def test_projection_onto_axis(self):
-        x, full = solve_normal_equations(np.array([[1.0], [0.0]]), [1.0, 1.0], TOL)
+        x, full = solve_one(np.array([[1.0], [0.0]]), [1.0, 1.0], TOL)
         assert full
         assert x == pytest.approx([1.0])
 
     def test_identity_small_measurements(self):
-        x, full = solve_normal_equations(np.eye(2), [0.1, 0.1], TOL)
+        x, full = solve_one(np.eye(2), [0.1, 0.1], TOL)
         assert full
         np.testing.assert_allclose(x, [0.1, 0.1], atol=1e-14)
 
@@ -61,32 +120,32 @@ class TestSolveNormalEquations:
         A = rng.standard_normal((4, 2))
         b = rng.standard_normal(4)
         expected = grid_refine_min(A, b)
-        x, full = solve_normal_equations(A, b, TOL)
+        x, full = solve_one(A, b, TOL)
         assert full
         np.testing.assert_allclose(x, expected, atol=1e-6)
 
     def test_rank_deficient_returns_min_norm(self):
         A = np.array([[1.0, 1.0], [0.0, 0.0]])
-        x, full = solve_normal_equations(A, [1.0, 0.0], TOL)
+        x, full = solve_one(A, [1.0, 0.0], TOL)
         assert not full
         # solutions are z1 + z2 = 1; the minimum-norm one is (0.5, 0.5)
         np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-12)
 
     def test_empty_support(self):
-        x, full = solve_normal_equations(np.zeros((3, 0)), [1.0, 2.0, 3.0], TOL)
+        x, full = solve_one(np.zeros((3, 0)), [1.0, 2.0, 3.0], TOL)
         assert full
         assert x.shape == (0,)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            solve_normal_equations(np.eye(2), [1.0, 2.0, 3.0], TOL)
+            solve_normal_equations(np.eye(2)[np.newaxis], [1.0, 2.0, 3.0], TOL)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_normal_equation_residual_orthogonality(self, seed):
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((6, 3))
         b = rng.standard_normal(6)
-        x, full = solve_normal_equations(A, b, TOL)
+        x, full = solve_one(A, b, TOL)
         assert full
         residual = A.T @ (A @ x - b)
         assert np.max(np.abs(residual)) <= 1e-8 * (1.0 + np.linalg.norm(b))
@@ -106,7 +165,7 @@ class TestPseudoinverseApply:
         A = rng.standard_normal((5, 3))
         b = rng.standard_normal(5)
         via_pinv = pseudoinverse_apply(A, b)
-        via_solve, full = solve_normal_equations(A, b, TOL)
+        via_solve, full = solve_one(A, b, TOL)
         assert full
         np.testing.assert_allclose(via_pinv, via_solve, atol=1e-10)
 

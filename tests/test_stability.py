@@ -1,9 +1,11 @@
 import collections
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from l0landscape import (
+    FeasiblePoint,
     Instance,
     PointKind,
     StabilityProbeConfig,
@@ -24,6 +26,12 @@ from _oracles import (
     near_points_by_enumeration,
     random_instance,
 )
+
+
+def report_of(xs):
+    """The part of a landscape report that ``default_probe_epsilon`` reads."""
+    return SimpleNamespace(points=[
+        SimpleNamespace(point=FeasiblePoint.from_vector(x, 0.0)) for x in xs])
 
 
 def data_distance(a: Instance, b: Instance) -> float:
@@ -210,6 +218,35 @@ class TestDefaultEpsilon:
         rep = enumerate_stationary(landscape_instance(shape, variant, seed))
         assert default_probe_epsilon(rep) == 0.25 * min_gap_pairwise(
             [p.point.x for p in rep.points])
+
+    def test_two_points(self):
+        # A zero column collapses its support onto the origin: P = 2.
+        rep = enumerate_stationary(Instance.from_arrays([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.5], 1))
+        assert len(rep.points) == 2
+        assert default_probe_epsilon(rep) == 0.25 * min_gap_pairwise(
+            [p.point.x for p in rep.points]) == 0.25
+
+    def test_closest_pair_has_equal_norms(self):
+        # The closest pair lies on the unit circle; the origin and the far
+        # point are farther from everything.
+        xs = [np.array(x) for x in
+              [(0.0, 0.0), (1.0, 0.0), (0.8, 0.6), (-1.0, 0.0), (0.0, -1.0), (3.0, 4.0)]]
+        assert default_probe_epsilon(report_of(xs)) == 0.25 * min_gap_pairwise(xs)
+        assert default_probe_epsilon(report_of(xs[::-1])) == 0.25 * min_gap_pairwise(xs)
+
+    def test_all_norms_equal(self):
+        xs = [np.roll([1.0, 0.0, 0.0, 0.0], k) for k in range(4)] + [np.full(4, 0.5)]
+        assert default_probe_epsilon(report_of(xs)) == 0.25 * min_gap_pairwise(xs)
+
+    def test_collinear_equally_spaced_points(self):
+        # On a ray, the norm differences equal the distances, so the rounding
+        # of the norms decides whether the closest pair is in the window.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            u = rng.standard_normal(3)
+            t, g = rng.uniform(0.5, 2.0), rng.uniform(0.1, 1.0)
+            xs = [(t + k * g) * u for k in range(3)]
+            assert default_probe_epsilon(report_of(xs)) == 0.25 * min_gap_pairwise(xs)
 
 
 class TestNearStationaryPoints:
