@@ -55,7 +55,6 @@ from .enumeration import (
     enumerate_stationary,
     enumerate_supports,
     run_genericity_experiment,
-    subspace_min,
     support_min_table,
 )
 from .levelsets import SweepResult, component_count, sweep_levels
@@ -120,7 +119,6 @@ __all__ = [
     "run_genericity_experiment",
     "solve_normal_equations",
     "stationarity_residual",
-    "subspace_min",
     "support_min_table",
     "support_of",
     "sweep_levels",

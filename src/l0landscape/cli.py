@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--seed", type=int, required=True)
     p_probe.add_argument("--point", type=int, default=0, help="point index from analyze order")
     p_probe.add_argument("--epsilon", type=float, help="locality radius (default: data driven)")
-    p_probe.add_argument("--delta", type=float, default=1e-3, help="data radius (default 1e-3)")
+    p_probe.add_argument("--delta", type=float,
+                         help="data radius (default: 1e-3 times the locality radius epsilon)")
     p_probe.add_argument("--trials", type=int, default=50)
     p_probe.add_argument("--paper-mode", action="store_true", dest="paper_mode",
                          help="deterministic all-ones measurement perturbation")
@@ -142,7 +143,7 @@ def _dispatch(args):
         epsilon = args.epsilon if args.epsilon is not None else default_probe_epsilon(report)
         cfg = StabilityProbeConfig(
             epsilon=epsilon,
-            delta=args.delta,
+            delta=args.delta if args.delta is not None else 1e-3 * epsilon,
             trials=args.trials,
             seed=args.seed,
             paper_mode=args.paper_mode,

@@ -160,32 +160,25 @@ def check_s_regularity(A, s: int, rank_tol: float) -> tuple[bool, Support | None
     return _s_regularity(zip(supports, numerical_rank(_column_stack(A, supports), rank_tol) == s))
 
 
-def _solve_supports(inst: Instance, supports: list[Support]) -> list[SupportSubspace]:
-    """Subspace minima of same-size supports: one stacked SVD, one ``lstsq`` each."""
-    stack = _column_stack(inst.A, supports)
-    full_rank = numerical_rank(stack, inst.tol.rank_tol) == stack.shape[2]
-    Z = solve_normal_equations(stack, inst.b, inst.tol.rank_tol)
+def _solve_supports(inst: Instance, supports: Iterable[Support]) -> list[SupportSubspace]:
+    """Subspace minima of supports in size order: per size one stacked SVD, one ``lstsq`` each."""
     subs = []
-    for S, z, full in zip(supports, Z, full_rank.tolist()):
-        x = np.zeros(inst.n)
-        x[list(S)] = z
-        r = inst.A @ x - inst.b  # the arithmetic of objective(inst, x), bit for bit
-        subs.append(SupportSubspace(S, 0.5 * float(r @ r), x, full))
+    for _, group in itertools.groupby(supports, key=len):
+        group = list(group)
+        stack = _column_stack(inst.A, group)
+        full_rank = numerical_rank(stack, inst.tol.rank_tol) == stack.shape[2]
+        Z = solve_normal_equations(stack, inst.b, inst.tol.rank_tol)
+        for S, z, full in zip(group, Z, full_rank.tolist()):
+            x = np.zeros(inst.n)
+            x[list(S)] = z
+            r = inst.A @ x - inst.b  # the arithmetic of objective(inst, x), bit for bit
+            subs.append(SupportSubspace(S, 0.5 * float(r @ r), x, full))
     return subs
-
-
-def subspace_min(inst: Instance, support: Support) -> SupportSubspace:
-    """Least-squares minimum of the objective over one coordinate subspace (a stack of one)."""
-    support = tuple(sorted(int(i) for i in support))
-    if len(support) > inst.s or any(not 0 <= i < inst.n for i in support):
-        raise ValidationError(f"support {support} out of range for n={inst.n}, s={inst.s}")
-    return _solve_supports(inst, [support])[0]
 
 
 def support_min_table(inst: Instance) -> dict[Support, SupportSubspace]:
     """Subspace minima for every support of size at most s, one size at a time."""
-    sizes = itertools.groupby(enumerate_supports(inst.n, inst.s), key=len)
-    return {sub.support: sub for _, group in sizes for sub in _solve_supports(inst, list(group))}
+    return {sub.support: sub for sub in _solve_supports(inst, enumerate_supports(inst.n, inst.s))}
 
 
 def values_tie(a: float, b: float) -> bool:

@@ -18,7 +18,6 @@ audited jointly by summing the per-point ranges.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .model import Instance, Support, validate_instance
@@ -88,7 +87,7 @@ def _level_counts(inst: Instance, table: dict[Support, SupportSubspace],
     (s-1)-support ``U`` is linked to the lowest one once it and ``U`` are both
     inside the level.  Nodes precede links of equal value.
     """
-    supports = list(itertools.combinations(range(inst.n), inst.s))
+    supports = [S for S in table if len(S) == inst.s]
     value = [table[S].min_value for S in supports]
     stars: dict[Support, list[int]] = {}
     for i, S in enumerate(supports):

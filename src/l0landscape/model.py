@@ -39,8 +39,10 @@ class ToleranceConfig:
         entries with ``|x_i| <= zero_tol`` are treated as zero; two stationary
         points are the same point exactly when their supports under it agree.
     stat_tol
-        max-norm bound on the gradient restricted to the support for a point
-        to count as M-stationary; also the strictness threshold for ND1.
+        strictness threshold for ND1; IHT also counts a converged iterate as
+        M-stationary when its gradient on the support is at most ten times
+        this.  Enumerated points are not gated on it: their residual is
+        reported.
     rank_tol
         relative singular-value threshold for rank decisions; ``None`` means
         "resolve to ``1e-10 * max(m, n)`` for the instance at hand".
@@ -195,8 +197,11 @@ def instance_from_dict(data: dict, tol_overrides: dict | None = None) -> Instanc
     unknown = [k for k in data if k not in ("m", "n", "s", "A", "b", "tolerances")]
     if unknown:
         raise InstanceFormatError(f"unknown field(s): {', '.join(sorted(unknown))}")
+    for key in ("m", "n", "s"):
+        if type(data[key]) is not int:  # a JSON integer; bool is a subclass of int
+            raise InstanceFormatError(f"'{key}' must be an integer, got {data[key]!r}")
+    m, n, s = data["m"], data["n"], data["s"]
     try:
-        m, n, s = int(data["m"]), int(data["n"]), int(data["s"])
         A = np.asarray(data["A"], dtype=float)
         b = np.asarray(data["b"], dtype=float)
     except (TypeError, ValueError) as exc:

@@ -10,11 +10,11 @@ A trial only needs the stationary points of the perturbed problem within
 supports that can hold one.  Every enumerated point is exactly zero off its
 support, so a point within ``r`` of ``x_bar`` is nonzero on every index of
 ``C = {i : |x_bar_i| > r}``, and its support contains ``C``.  The candidates
-are the supports ``T`` with ``C <= T`` and ``|T| <= s``; each is solved by
-:func:`enumeration.subspace_min` and kept under the enumerator's own fixpoint
-rule (the solution's support under ``zero_tol`` is ``T``).  The result is
-the enumerator's points within ``r``, bit for bit and in report order,
-without classifying any of them.
+are the supports ``T`` with ``C <= T`` and ``|T| <= s``; they are solved by
+the support table's own per-size solver and kept under the enumerator's
+fixpoint rule (the solution's support under ``zero_tol`` is ``T``).  The
+result is the enumerator's points within ``r``, bit for bit and in report
+order, without classifying any of them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Instance, complement_of, support_of, validate_instance
-from .enumeration import LandscapeReport, subspace_min
+from .enumeration import LandscapeReport, _solve_supports
 from .stationarity import StationaryPoint
 from .util import rng_for, spawn_seed
 
@@ -146,20 +146,19 @@ def _near_stationary_points(inst: Instance, x_bar: np.ndarray, r: float) -> list
     """The points of ``enumerate_stationary(inst)`` within ``r`` of ``x_bar``.
 
     Solves only the supports that contain ``C = support_of(x_bar, r)`` (see
-    the module docstring for why no other support can hold such a point) and
-    returns the points in the report's (value, support) order.  Nothing is
-    classified.
+    the module docstring for why no other support can hold such a point),
+    all in one call of the support table's per-size solver, and returns the
+    points in the report's (value, support) order.  Nothing is classified.
     """
     validate_instance(inst)
     core = support_of(x_bar, r)
     rest = complement_of(core, inst.n)
-    near = []
-    for k in range(inst.s - len(core) + 1):
-        for extra in itertools.combinations(rest, k):
-            sub = subspace_min(inst, core + extra)
-            if (support_of(sub.argmin, inst.tol.zero_tol) == sub.support
-                    and np.linalg.norm(sub.argmin - x_bar) <= r):
-                near.append(sub)
+    candidates = (tuple(sorted(core + extra))
+                  for k in range(inst.s - len(core) + 1)
+                  for extra in itertools.combinations(rest, k))
+    near = [sub for sub in _solve_supports(inst, candidates)
+            if support_of(sub.argmin, inst.tol.zero_tol) == sub.support
+            and np.linalg.norm(sub.argmin - x_bar) <= r]
     near.sort(key=lambda sub: (sub.min_value, sub.support))
     return [sub.argmin for sub in near]
 
@@ -187,20 +186,18 @@ def probe_strong_stability(
     cfg.validate()
     x_bar = point.point.x
     r = 2.0 * cfg.epsilon
-
-    def one_trial(t: int) -> tuple[bool, bool, list[list[float]]]:
+    exists_count = unique_count = 0
+    sample: list[list[list[float]]] = []
+    for t in range(cfg.trials):
         perturbed = perturb_instance(
             inst, cfg.delta, spawn_seed(cfg.seed, t), paper_mode=cfg.paper_mode
         )
         near = _near_stationary_points(perturbed, x_bar, r)
         exists = any(np.linalg.norm(x - x_bar) <= cfg.epsilon for x in near)
-        unique = exists and len(near) == 1
-        nearby = [[float(v) for v in x] for x in near]
-        return exists, unique, nearby
-
-    outcomes = [one_trial(t) for t in range(cfg.trials)]
-    exists_count = sum(e for e, _, _ in outcomes)
-    unique_count = sum(u for _, u, _ in outcomes)
+        exists_count += exists
+        unique_count += exists and len(near) == 1
+        if t < 10:
+            sample.append([[float(v) for v in x] for x in near])
     verdict = (
         StabilityVerdict.STABLE if unique_count == cfg.trials else StabilityVerdict.UNSTABLE
     )
@@ -212,5 +209,5 @@ def probe_strong_stability(
         verdict=verdict,
         nondegenerate_expected=expected,
         agreement=(verdict is StabilityVerdict.STABLE) == expected,
-        perturbed_points_sample=[nearby for _, _, nearby in outcomes[:10]],
+        perturbed_points_sample=sample,
     )

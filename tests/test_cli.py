@@ -134,6 +134,17 @@ class TestErrorPaths:
         assert out == ""
         assert "tolerance 'zero_tol' must be a number, got 'abc'" in err
 
+    @pytest.mark.parametrize("key, value", [("s", 1.9), ("s", True), ("s", "1"), ("m", 2.7)])
+    def test_non_integer_dimension_exits_2(self, capsys, tmp_path, key, value):
+        data = {"m": 2, "n": 2, "s": 1, "A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}
+        data[key] = value
+        path = tmp_path / "bad_dim.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run_cli(capsys, ["regularity", "--instance", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert f"'{key}' must be an integer, got {value!r}" in err
+
     def test_generic_requires_seed(self, saddle_file):
         with pytest.raises(SystemExit) as exc:
             main(["generic", "--m", "2", "--n", "2", "--s", "1", "--trials", "5"])
@@ -326,6 +337,22 @@ class TestOtherCommands:
                                         "--trials", "5", "--delta", "1e-6"])
         assert rc == 0, err
         assert json.loads(out)["agreement"] is True
+
+    def test_probe_default_delta_scales_with_epsilon(self, capsys, tmp_path):
+        # The closest pair of points of this instance is about 4e-4 apart, so
+        # the data-driven epsilon is about 1e-4; a fixed delta of 1e-3 moves
+        # the nondegenerate minimizer farther than that in most trials.
+        m, n, s = 5, 8, 3
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        path = tmp_path / "close_points.json"
+        path.write_text(json.dumps({"m": m, "n": n, "s": s, "A": A.tolist(), "b": b.tolist()}))
+        rc, out, err = run_cli(capsys, ["probe", "--instance", str(path), "--seed", "7"])
+        assert rc == 0, err
+        payload = json.loads(out)
+        assert payload["nondegenerate_expected"] is True
+        assert payload["agreement"] is True
 
     def test_iht(self, capsys, saddle_file):
         rc, out, _ = run_cli(capsys, ["iht", "--instance", saddle_file])

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import logging
 
@@ -45,6 +46,44 @@ class TestEnumerateSupports:
         assert len(set(supports)) == len(supports)
         keys = [(len(S), S) for S in supports]
         assert keys == sorted(keys)
+
+
+def _row_mix(rng, A, b):
+    Q, _ = np.linalg.qr(rng.standard_normal((len(b), len(b))))
+    return Q @ A, Q @ b
+
+
+def _column_scale(rng, A, b):
+    return A * rng.lognormal(0.0, 2.0, A.shape[1]), b
+
+
+def _power_of_two(k):
+    def scale(rng, A, b):
+        return np.ldexp(A, k), np.ldexp(b, k)
+
+    scale.__name__ = f"scale_2^{k}"
+    return scale
+
+
+# ND1 compares gradient entries with the absolute stat_tol, and the gradient
+# scales with the square of the data, so small data scales flip verdicts.
+STAT_TOL_SCALE = ("classification depends on the data scale through stat_tol "
+                  "(the CHANGES.md FOUND line on stat_tol, ROADMAP item 2)")
+
+INVARIANCE_SHAPES = [(5, 7, 3), (4, 7, 2), (5, 8, 3), (6, 9, 3)]
+
+
+def _support_kinds(A, b, s):
+    rep = enumerate_stationary(Instance.from_arrays(A, b, s))
+    return {(p.point.support, p.kind) for p in rep.points}
+
+
+@functools.cache
+def _invariance_case(m, n, s, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    return A, b, _support_kinds(A, b, s)
 
 
 class TestEnumerateStationary:
@@ -125,6 +164,21 @@ class TestEnumerateStationary:
         originals = {tuple(np.round(p.point.x, 9)) for p in rep.points}
         mapped = {tuple(np.round(p.point.x[inverse], 9)) for p in rep_perm.points}
         assert originals == mapped
+
+    @pytest.mark.parametrize("transform", [
+        _row_mix,
+        _column_scale,
+        *(_power_of_two(k) for k in (-5, 10, 20, 30)),
+        *(pytest.param(_power_of_two(k), marks=pytest.mark.xfail(
+            raises=AssertionError, strict=True, reason=STAT_TOL_SCALE)) for k in (-10, -20)),
+    ], ids=lambda transform: transform.__name__.lstrip("_"))
+    def test_support_kind_invariance(self, transform):
+        # Orthogonal row mixing, positive column scaling and scaling of the
+        # whole data keep every point's support and kind.
+        for (m, n, s), seed in itertools.product(INVARIANCE_SHAPES, range(10)):
+            A, b, expected = _invariance_case(m, n, s, seed)
+            rng = np.random.default_rng((1, seed))
+            assert _support_kinds(*transform(rng, A, b), s) == expected, (m, n, s, seed)
 
     def test_zero_column_creates_continuum_certificate(self):
         inst = Instance.from_arrays([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.5], 1)

@@ -7,7 +7,6 @@ from l0landscape import (
     component_count,
     enumerate_stationary,
     objective,
-    subspace_min,
     support_min_table,
     sweep_levels,
 )
@@ -22,13 +21,13 @@ from _oracles import (
 
 class TestSubspaceMin:
     def test_empty_support(self, saddle_instance):
-        sub = subspace_min(saddle_instance, ())
+        sub = support_min_table(saddle_instance)[()]
         assert sub.min_value == pytest.approx(1.0)  # half the squared data norm
         np.testing.assert_allclose(sub.argmin, [0.0, 0.0])
         assert sub.full_rank
 
     def test_axis_support(self, saddle_instance):
-        sub = subspace_min(saddle_instance, (0,))
+        sub = support_min_table(saddle_instance)[(0,)]
         assert sub.min_value == pytest.approx(0.5)
         np.testing.assert_allclose(sub.argmin, [1.0, 0.0])
 
@@ -39,13 +38,13 @@ class TestSubspaceMin:
         inst = Instance.from_arrays(rng.standard_normal((4, 5)), rng.standard_normal(4), 2)
         S = (1, 3)
         expected_z = grid_refine_min(inst.A[:, list(S)], inst.b)
-        sub = subspace_min(inst, S)
+        sub = support_min_table(inst)[S]
         np.testing.assert_allclose(sub.argmin[list(S)], expected_z, atol=1e-6)
         assert sub.min_value == pytest.approx(objective(inst, sub.argmin))
 
     def test_rank_deficient_flagged(self):
         inst = Instance.from_arrays([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.5], 1)
-        sub = subspace_min(inst, (1,))
+        sub = support_min_table(inst)[(1,)]
         assert not sub.full_rank
 
 

@@ -14,7 +14,7 @@ from l0landscape import (
     gradient,
     numerical_rank,
     objective,
-    subspace_min,
+    support_min_table,
 )
 
 from _oracles import (
@@ -35,7 +35,7 @@ def point(inst, coords):
 
 def classified(inst, fp):
     """``classify`` with ND2 read from the support's subspace solve."""
-    return classify(inst, fp, subspace_min(inst, fp.support).full_rank)
+    return classify(inst, fp, support_min_table(inst)[fp.support].full_rank)
 
 
 class TestGradient:
