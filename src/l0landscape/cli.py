@@ -180,18 +180,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, csv_text = _dispatch(args)
+        if csv_text is not None:
+            text = csv_text
+        else:
+            if args.timestamp:
+                payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            # A non-finite number is an internal error, never printed as NaN or Infinity.
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    if csv_text is not None:
-        text = csv_text
-    else:
-        if args.timestamp:
-            payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -7,11 +7,11 @@ support size at a time: one stacked SVD decides the ranks of all supports of
 a size, and one ``lstsq`` per support gives its argmin.  Each solution is
 M-stationary by construction because its gradient vanishes on the solved
 support, which contains the solution's own support.  Two solutions are the
-same point exactly when their supports under ``zero_tol`` agree, so
-solutions found through different supersets of one support collapse to a
-single record.
-Rank-deficient solves certify a continuum of stationary points; the
-minimum-norm representative is kept and reported as degenerate.
+same point exactly when their supports under ``zero_tol`` agree, so the
+points are the fixpoints, the supports whose solve has exactly that support;
+``_fixpoints`` alone selects them, in report order, for the enumerator and the
+stability probe.  Rank-deficient solves certify a continuum of stationary
+points; the minimum-norm representative is kept and reported as degenerate.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ class SupportSubspace:
     support: Support
     min_value: float
     argmin: np.ndarray
+    argmin_support: Support  # the argmin's own support under zero_tol
     full_rank: bool
 
 
@@ -172,8 +173,18 @@ def _solve_supports(inst: Instance, supports: Iterable[Support]) -> list[Support
             x = np.zeros(inst.n)
             x[list(S)] = z
             r = inst.A @ x - inst.b  # the arithmetic of objective(inst, x), bit for bit
-            subs.append(SupportSubspace(S, 0.5 * float(r @ r), x, full))
+            subs.append(SupportSubspace(S, 0.5 * float(r @ r), x,
+                                        support_of(x, inst.tol.zero_tol), full))
     return subs
+
+
+def _fixpoints(subs: Iterable[SupportSubspace]) -> list[SupportSubspace]:
+    """The entries whose solve has exactly their support, in report order (value, support).
+
+    ``classify`` computes a value by the operations that gave ``min_value``.
+    """
+    return sorted((sub for sub in subs if sub.argmin_support == sub.support),
+                  key=lambda sub: (sub.min_value, sub.support))
 
 
 def support_min_table(inst: Instance) -> dict[Support, SupportSubspace]:
@@ -189,40 +200,33 @@ def values_tie(a: float, b: float) -> bool:
 def enumerate_stationary(inst: Instance) -> LandscapeReport:
     """Enumerate and classify every M-stationary point.
 
-    Two solutions are the same point exactly when they have the same support
-    under ``zero_tol``, so each fixpoint support is reported once.  Each point
+    The points are the table's fixpoints in the order of ``_fixpoints``.  Each
     is classified from its table entry: ND2 is the support's rank verdict, and
     the stationarity residual is reported, not gated, so the enumeration never
-    raises on its own solves.  The result is deterministic: the list is sorted
-    by (value, support).
+    raises on its own solves.
     """
     validate_instance(inst)
-    zero_tol = inst.tol.zero_tol
     table = support_min_table(inst)
 
-    # Chase every solve to the fixpoint of its support map, so the reported
-    # vector is exactly zero off its own support, and flag the fixpoint when
-    # any solve that reaches it is rank deficient.  A solve vanishes off its
-    # support, so each step of the chase strictly shrinks the support; the
-    # chase ends and never leaves the table.
-    finals: dict[Support, bool] = {}
-    for S, sub in table.items():
-        U = S
-        while (V := support_of(table[U].argmin, zero_tol)) != U:
-            U = V
-        finals[U] = finals.get(U, False) or not sub.full_rank
+    # Chase each rank-deficient solve to the fixpoint of its support map and
+    # flag that point: the continuum the solve certifies passes through it.
+    # A solve vanishes off its support, so each step of the chase strictly
+    # shrinks the support; the chase ends and never leaves the table.
+    deficient: set[Support] = set()
+    for sub in table.values():
+        if not sub.full_rank:
+            while sub.argmin_support != sub.support:
+                sub = table[sub.argmin_support]
+            deficient.add(sub.support)
 
-    # The chase stops where the solve's support under zero_tol is U itself,
-    # so U is the point's support and each fixpoint support is one point.
     points: list[StationaryPoint] = []
-    for U, deficient in finals.items():
-        sp = classify(inst, FeasiblePoint(x=table[U].argmin, support=U), table[U].full_rank)
-        if deficient and sp.kind is not PointKind.DEGENERATE:
+    for sub in _fixpoints(table.values()):
+        sp = classify(inst, FeasiblePoint(x=sub.argmin, support=sub.support), sub.full_rank)
+        if sub.support in deficient and sp.kind is not PointKind.DEGENERATE:
             sp = replace(sp, kind=PointKind.DEGENERATE)
         points.append(sp)
-    points.sort(key=lambda p: (p.value, p.point.support))
 
-    continuum = any(finals.values())
+    continuum = bool(deficient)
     r = sum(p.kind is PointKind.LOCAL_MINIMIZER for p in points)
     r1 = sum(p.kind is PointKind.SADDLE_POINT for p in points)
     lower = sum(p.kind is PointKind.LOWER_ORDER for p in points)

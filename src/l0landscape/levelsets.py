@@ -151,9 +151,9 @@ def _admissible_range(n: int, s: int, points) -> tuple[int, int]:
 
 
 def _group_values(points) -> list[tuple[float, list[StationaryPoint]]]:
-    ordered = sorted(points, key=lambda p: p.value)
+    """Runs of tied values among ``points``, which must come in report order."""
     groups: list[tuple[float, list[StationaryPoint]]] = []
-    for p in ordered:
+    for p in points:
         if groups and values_tie(groups[-1][0], p.value):
             groups[-1][1].append(p)
         else:
@@ -165,9 +165,9 @@ def sweep_levels(inst: Instance, report: LandscapeReport) -> SweepResult:
     """Component counts between stationary values plus the transition audit.
 
     The counts are read from ``report.table``, so ``report`` must be the
-    enumeration of ``inst``.  The audit is flagged not applicable when the
-    report contains degenerate points or a continuum certificate; the
-    interval counts are still emitted.
+    enumeration of ``inst``, whose report order lists its points by value.
+    The audit is flagged not applicable when the report contains degenerate
+    points or a continuum certificate; the interval counts are still emitted.
     """
     validate_instance(inst)
     groups = _group_values(report.points)

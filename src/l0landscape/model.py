@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,6 +146,13 @@ def validate_instance(inst: Instance) -> None:
         raise NonFiniteDataError("A contains non-finite entries")
     if b.size and not np.isfinite(b).all():
         raise NonFiniteDataError("b contains non-finite entries")
+    # Every stationary value is at most ||b||^2 / 2 and every gradient entry
+    # at most ||A||_F ||b||, so these bounds keep all reported numbers finite.
+    # inf * 0 is nan, so the product is finite only when both factors are.
+    with np.errstate(over="ignore"):
+        a2, b2 = float(np.vdot(A, A)), float(b @ b)
+    if not math.isfinite(a2 * b2):
+        raise NonFiniteDataError("||A||_F^2 * ||b||^2 overflows float64; rescale the data")
     if not isinstance(s, (int, np.integer)) or not 0 <= s <= n - 1:
         raise SparsityRangeError(f"s must lie in {{0, ..., n-1}} = {{0, ..., {n - 1}}}, got {s}")
     if s > m:
@@ -174,17 +182,27 @@ def _tolerances_from_mapping(raw, overrides: dict | None) -> ToleranceConfig:
         for key, value in raw.items():
             if key not in _TOLERANCE_KEYS:
                 raise InstanceFormatError(f"unknown tolerance key '{key}'")
+            if type(value) not in (int, float):  # a JSON number; bool is a subclass of int
+                raise InstanceFormatError(f"tolerance '{key}' must be a number, got {value!r}")
             try:
                 merged[key] = float(value)
-            except (TypeError, ValueError) as exc:
-                raise InstanceFormatError(
-                    f"tolerance '{key}' must be a number, got {value!r}") from exc
+            except OverflowError as exc:
+                raise InstanceFormatError(f"tolerance '{key}': {exc}") from exc
     for key, value in (overrides or {}).items():
         if key not in _TOLERANCE_KEYS:
             raise InstanceFormatError(f"unknown tolerance override '{key}'")
         if value is not None:
             merged[key] = float(value)
     return ToleranceConfig(**merged)
+
+
+def _check_numbers(key: str, value) -> None:
+    """Reject any entry of a nested list that is not a JSON number."""
+    if isinstance(value, list):
+        for entry in value:
+            _check_numbers(key, entry)
+    elif type(value) not in (int, float):  # bool is a subclass of int
+        raise InstanceFormatError(f"'{key}' entries must be numbers, got {value!r}")
 
 
 def instance_from_dict(data: dict, tol_overrides: dict | None = None) -> Instance:
@@ -201,10 +219,12 @@ def instance_from_dict(data: dict, tol_overrides: dict | None = None) -> Instanc
         if type(data[key]) is not int:  # a JSON integer; bool is a subclass of int
             raise InstanceFormatError(f"'{key}' must be an integer, got {data[key]!r}")
     m, n, s = data["m"], data["n"], data["s"]
+    _check_numbers("A", data["A"])
+    _check_numbers("b", data["b"])
     try:
         A = np.asarray(data["A"], dtype=float)
         b = np.asarray(data["b"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise InstanceFormatError(f"could not parse numeric data: {exc}") from exc
     if A.shape != (m, n):
         raise DimensionMismatchError(f"A has shape {A.shape}, expected ({m}, {n})")

@@ -11,10 +11,10 @@ supports that can hold one.  Every enumerated point is exactly zero off its
 support, so a point within ``r`` of ``x_bar`` is nonzero on every index of
 ``C = {i : |x_bar_i| > r}``, and its support contains ``C``.  The candidates
 are the supports ``T`` with ``C <= T`` and ``|T| <= s``; they are solved by
-the support table's own per-size solver and kept under the enumerator's
-fixpoint rule (the solution's support under ``zero_tol`` is ``T``).  The
-result is the enumerator's points within ``r``, bit for bit and in report
-order, without classifying any of them.
+the support table's own per-size solver, and those within ``r`` go through
+the enumerator's own selector of points and report order, ``_fixpoints``.
+The result is the enumerator's points within ``r``, bit for bit and in
+report order, without classifying any of them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Instance, complement_of, support_of, validate_instance
-from .enumeration import LandscapeReport, _solve_supports
+from .enumeration import LandscapeReport, _fixpoints, _solve_supports
 from .stationarity import StationaryPoint
 from .util import rng_for, spawn_seed
 
@@ -147,8 +147,8 @@ def _near_stationary_points(inst: Instance, x_bar: np.ndarray, r: float) -> list
 
     Solves only the supports that contain ``C = support_of(x_bar, r)`` (see
     the module docstring for why no other support can hold such a point),
-    all in one call of the support table's per-size solver, and returns the
-    points in the report's (value, support) order.  Nothing is classified.
+    all in one call of the support table's per-size solver, and returns those
+    within ``r`` that ``_fixpoints`` keeps, in its order.  Nothing is classified.
     """
     validate_instance(inst)
     core = support_of(x_bar, r)
@@ -156,10 +156,8 @@ def _near_stationary_points(inst: Instance, x_bar: np.ndarray, r: float) -> list
     candidates = (tuple(sorted(core + extra))
                   for k in range(inst.s - len(core) + 1)
                   for extra in itertools.combinations(rest, k))
-    near = [sub for sub in _solve_supports(inst, candidates)
-            if support_of(sub.argmin, inst.tol.zero_tol) == sub.support
-            and np.linalg.norm(sub.argmin - x_bar) <= r]
-    near.sort(key=lambda sub: (sub.min_value, sub.support))
+    near = _fixpoints(sub for sub in _solve_supports(inst, candidates)
+                      if np.linalg.norm(sub.argmin - x_bar) <= r)
     return [sub.argmin for sub in near]
 
 
@@ -174,14 +172,9 @@ def probe_strong_stability(
     within ``epsilon`` of the probed point and is the only one within
     ``2 * epsilon``; the verdict is stable evidence exactly when every trial
     succeeds.  ``agreement`` records whether that matches the nondegeneracy
-    certificate, which characterizes strong stability exactly.
-
-    A trial does not enumerate the perturbed landscape: it solves only the
-    supports containing every index where the probed point exceeds
-    ``2 * epsilon`` in magnitude, since a stationary point within
-    ``2 * epsilon`` is nonzero there.  Those supports yield exactly the
-    enumerator's points in that ball, in the same order, so the counts and
-    the sample are those of a full enumeration.
+    certificate, which characterizes strong stability exactly.  A trial
+    solves only the supports that can hold a point within ``2 * epsilon``
+    (see the module docstring).
     """
     cfg.validate()
     x_bar = point.point.x

@@ -10,6 +10,8 @@ full-column-rank matrix applied through its thin SVD, and the ND1 vector
 written with the orthogonal projector onto the support column span.  The
 probe's localized search is checked against a filter over the full
 enumeration, and its default radius against the plain all-pairs minimum gap.
+The enumerator's degenerate points are checked against a chase of every
+table entry, not only the rank-deficient ones, to its fixpoint.
 The M-stationarity test and the direct ND1 vector are written from their
 definitions through the public gradient and stationarity residual.  The
 errors these oracles raise for a rank-deficient matrix or a non-stationary
@@ -27,10 +29,14 @@ from l0landscape import (
     FeasiblePoint,
     Instance,
     L0LandscapeError,
+    PointKind,
+    classify,
     complement_of,
     enumerate_stationary,
     gradient,
     stationarity_residual,
+    support_min_table,
+    support_of,
 )
 from l0landscape.levelsets import LEVEL_BAND_REL
 
@@ -280,3 +286,25 @@ def near_points_by_enumeration(inst: Instance, x_bar, r: float) -> list[np.ndarr
 def min_gap_pairwise(points) -> float:
     """Smallest Euclidean distance over all pairs of the given vectors."""
     return min(float(np.linalg.norm(a - b)) for a, b in itertools.combinations(points, 2))
+
+
+def kinds_by_chasing_every_entry(inst: Instance) -> tuple[set, bool]:
+    """Every point's ``(support, kind)`` and the continuum flag, from every table entry.
+
+    Each entry's solve is followed through the map ``S -> support_of(argmin(S))``
+    until the support stops changing; the supports reached are the points, and
+    one reached from any rank-deficient entry is degenerate.  The continuum
+    flag is set when any entry is rank deficient.
+    """
+    table = support_min_table(inst)
+    finals: dict = {}
+    for S, sub in table.items():
+        U = S
+        while (V := support_of(table[U].argmin, inst.tol.zero_tol)) != U:
+            U = V
+        finals[U] = finals.get(U, False) or not sub.full_rank
+    kinds = set()
+    for U, deficient in finals.items():
+        kind = classify(inst, FeasiblePoint(table[U].argmin, U), table[U].full_rank).kind
+        kinds.add((U, PointKind.DEGENERATE if deficient else kind))
+    return kinds, any(finals.values())

@@ -145,6 +145,69 @@ class TestErrorPaths:
         assert out == ""
         assert f"'{key}' must be an integer, got {value!r}" in err
 
+    @pytest.mark.parametrize("key, entry", [
+        ("A", "1"), ("A", True), ("A", None), ("b", "1.0"), ("b", False), ("b", None)])
+    @pytest.mark.parametrize("command", ["regularity", "analyze"])
+    def test_non_number_entry_exits_2(self, capsys, tmp_path, command, key, entry):
+        data = {"m": 2, "n": 2, "s": 1, "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0]}
+        data[key] = [[entry, 0.0], [0.0, 1.0]] if key == "A" else [entry, 1.0]
+        path = tmp_path / "bad_entry.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run_cli(capsys, [command, "--instance", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert f"'{key}' entries must be numbers, got {entry!r}" in err
+
+    @pytest.mark.parametrize("key, value", [("zero_tol", True), ("stat_tol", "1e-8")])
+    def test_non_number_tolerance_exits_2(self, capsys, tmp_path, key, value):
+        path = tmp_path / "bad_tol.json"
+        path.write_text(json.dumps({"m": 2, "n": 2, "s": 1, "A": [[1, 0], [0, 1]],
+                                    "b": [1, 1], "tolerances": {key: value}}))
+        rc, out, err = run_cli(capsys, ["analyze", "--instance", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert f"tolerance '{key}' must be a number, got {value!r}" in err
+
+    def test_strings_and_booleans_are_not_the_identity(self, capsys, tmp_path):
+        path = tmp_path / "coerced.json"
+        path.write_text(json.dumps({
+            "m": 2, "n": 2, "s": 1, "A": [["1", False], [False, True]], "b": ["1", "1.0"],
+            "tolerances": {"zero_tol": True, "stat_tol": "1e-8"}}))
+        for command in ("regularity", "analyze"):
+            rc, out, err = run_cli(capsys, [command, "--instance", str(path)])
+            assert (rc, out) == (2, "")
+            assert err == "error: 'A' entries must be numbers, got '1'\n"
+
+    @pytest.mark.parametrize("text", [
+        '{"m": 2, "n": 2, "s": 1, "A": [[1%s, 0], [0, 1]], "b": [1, 1]}' % ("0" * 400),
+        '{"m": 2, "n": 2, "s": 1, "A": [[1, 0], [0, 1]], "b": [1, 1],'
+        ' "tolerances": {"stat_tol": 1%s}}' % ("0" * 400),
+    ], ids=["A", "tolerance"])
+    def test_integer_beyond_float_range_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "huge_int.json"
+        path.write_text(text)
+        rc, out, err = run_cli(capsys, ["analyze", "--instance", str(path)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["analyze", "regularity", "sweep", "iht"])
+    def test_data_near_float_limit_exits_2(self, capsys, tmp_path, command):
+        # Every stationary value here would be Infinity in the report.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"m": 2, "n": 3, "s": 1, "A": [[1e308, 0, 2], [0, 1e308, 1]],
+                                    "b": [1e308, 1e308]}))
+        rc, out, err = run_cli(capsys, [command, "--instance", str(path)])
+        assert (rc, out) == (2, "")
+        assert err == "error: ||A||_F^2 * ||b||^2 overflows float64; rescale the data\n"
+
+    def test_non_finite_report_is_an_internal_error(self, capsys, saddle_file, monkeypatch):
+        import l0landscape.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_dispatch", lambda args: ({"value": float("inf")}, None))
+        rc, out, err = run_cli(capsys, ["analyze", "--instance", saddle_file])
+        assert (rc, out) == (1, "")
+        assert err.startswith("internal error: ")
+
     def test_generic_requires_seed(self, saddle_file):
         with pytest.raises(SystemExit) as exc:
             main(["generic", "--m", "2", "--n", "2", "--s", "1", "--trials", "5"])

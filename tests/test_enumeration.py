@@ -24,7 +24,7 @@ from l0landscape import (
 )
 from l0landscape import enumeration, levelsets
 
-from _oracles import is_m_stationary
+from _oracles import is_m_stationary, kinds_by_chasing_every_entry, landscape_instance
 
 TOL = 1e-10
 
@@ -180,6 +180,12 @@ class TestEnumerateStationary:
             rng = np.random.default_rng((1, seed))
             assert _support_kinds(*transform(rng, A, b), s) == expected, (m, n, s, seed)
 
+    @staticmethod
+    def _assert_kinds_match_every_entry_chase(inst, rep):
+        kinds, continuum = kinds_by_chasing_every_entry(inst)
+        assert {(p.point.support, p.kind) for p in rep.points} == kinds
+        assert rep.continuum_detected == continuum
+
     def test_zero_column_creates_continuum_certificate(self):
         inst = Instance.from_arrays([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.5], 1)
         rep = enumerate_stationary(inst)
@@ -188,15 +194,39 @@ class TestEnumerateStationary:
         assert rep.s_regularity_witness == (1,)
         assert rep.hypothesis_violated
         assert any(p.kind is PointKind.DEGENERATE for p in rep.points)
+        self._assert_kinds_match_every_entry_chase(inst, rep)
 
     def test_duplicate_columns_force_degenerate_representative(self):
         inst = Instance.from_arrays([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 0.5], 2)
         rep = enumerate_stationary(inst)
         assert rep.continuum_detected
+        self._assert_kinds_match_every_entry_chase(inst, rep)
         # the minimum-norm representative on the duplicated pair spreads evenly
         spread = [p for p in rep.points if p.point.support == (0, 1)]
         assert spread and spread[0].kind is PointKind.DEGENERATE
         np.testing.assert_allclose(spread[0].point.x, [0.5, 0.5, 0.0], atol=1e-10)
+
+    def test_continuum_through_a_representative_under_zero_tol(self):
+        # The duplicated pair's minimum-norm solve is 7.5e-10 on each column,
+        # under zero_tol, so the chase takes it to the origin.  Classified on
+        # its own the origin passes ND1 (gradient 1.5e-7 off its support); the
+        # continuum through it makes it degenerate.
+        inst = Instance.from_arrays([[10.0, 10.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+                                    [1.5e-8, 1.0, 0.0], 2)
+        rep = enumerate_stationary(inst)
+        origin = [p for p in rep.points if p.point.support == ()]
+        assert origin and origin[0].cert.nondegenerate
+        assert origin[0].kind is PointKind.DEGENERATE
+        self._assert_kinds_match_every_entry_chase(inst, rep)
+
+    @pytest.mark.parametrize("variant", ["zero-column", "duplicate-column"])
+    @pytest.mark.parametrize("shape", [(5, 7, 3), (6, 9, 3)])
+    def test_degenerate_points_match_every_entry_chase(self, shape, variant):
+        # Chasing only the rank-deficient entries flags exactly the points
+        # that chasing every entry flags.
+        for seed in range(10):
+            inst = landscape_instance(shape, variant, seed)
+            self._assert_kinds_match_every_entry_chase(inst, enumerate_stationary(inst))
 
     def test_morse_relation_on_random_instances(self):
         rng = np.random.default_rng(10)

@@ -81,6 +81,18 @@ class TestValidateInstance:
         with pytest.raises(NonFiniteDataError):
             validate_instance(Instance.from_arrays([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0], 1))
 
+    @pytest.mark.parametrize("A, b", [
+        ([[1e160, 0.0], [0.0, 1.0]], [0.0, 0.0]),   # ||A||_F^2 overflows
+        (np.eye(2), [1e160, 0.0]),                  # ||b||^2 overflows
+        ([[1e100, 0.0], [0.0, 1.0]], [1e150, 0.0]),  # only the product overflows
+    ], ids=["A", "b", "product"])
+    def test_overflowing_norms_rejected(self, A, b):
+        with pytest.raises(NonFiniteDataError, match="overflows float64"):
+            validate_instance(Instance.from_arrays(A, b, 1))
+
+    def test_large_finite_data_accepted(self):
+        validate_instance(Instance.from_arrays([[1e100, 0.0], [0.0, 1.0]], [1e50, 0.0], 1))
+
     def test_b_shape_rejected(self):
         with pytest.raises(DimensionMismatchError):
             validate_instance(Instance.from_arrays(np.eye(2), [1.0, 1.0, 1.0], 1))
@@ -125,6 +137,19 @@ class TestInstanceFiles:
         path.write_text("2,2,1\n1.0,0.0\n0.0,oops\n1.0,1.0\n")
         with pytest.raises(InstanceFormatError, match="line 3"):
             load_instance(path)
+
+    def test_json_integers_are_numbers(self):
+        inst = instance_from_dict({"m": 2, "n": 2, "s": 1, "A": [[1, 0], [0, 1]], "b": [1, 2],
+                                   "tolerances": {"zero_tol": 0}})
+        np.testing.assert_array_equal(inst.A, np.eye(2))
+        np.testing.assert_array_equal(inst.b, [1.0, 2.0])
+        assert inst.tol.zero_tol == 0.0
+
+    @pytest.mark.parametrize("A", [[[1.0, [0.0]], [0.0, 1.0]], [[1.0, {}], [0.0, 1.0]], "eye"])
+    def test_nested_non_number_rejected(self, A):
+        data = {"m": 2, "n": 2, "s": 1, "A": A, "b": [0.0, 0.0]}
+        with pytest.raises(InstanceFormatError):
+            instance_from_dict(data)
 
     def test_json_shape_mismatch(self):
         data = {"m": 2, "n": 2, "s": 1, "A": [[1.0, 0.0]], "b": [0.0, 0.0]}
