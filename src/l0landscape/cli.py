@@ -1,9 +1,10 @@
 """Command-line front end: instance I/O, experiment orchestration, reports.
 
 Exit codes: 0 on success, 2 on invalid input (bad flags, unreadable or
-malformed instance files, violated instance invariants), 1 on internal
-errors.  Output is deterministic byte-for-byte for fixed inputs and seeds;
-pass ``--timestamp`` to include a wall-clock field.
+malformed instance files, violated instance invariants, a report path that
+cannot be written), 1 on internal errors.  Output is deterministic
+byte-for-byte for fixed inputs and seeds; pass ``--timestamp`` to include a
+wall-clock field.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import datetime
 import io
 import json
 import sys
+from dataclasses import replace
 
 from .errors import ValidationError
-from .model import _tolerances_from_mapping, load_instance, support_to_json, validate_instance
+from .model import ToleranceConfig, load_instance, support_to_json, validate_instance
 from .enumeration import check_s_regularity, enumerate_stationary, run_genericity_experiment
 from .levelsets import sweep_levels
 from .stability import StabilityProbeConfig, default_probe_epsilon, probe_strong_stability
@@ -75,19 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tol_overrides(args) -> dict:
-    return {
-        "zero_tol": getattr(args, "zero_tol", None),
-        "stat_tol": getattr(args, "stat_tol", None),
-        "rank_tol": getattr(args, "rank_tol", None),
-    }
+def _tolerance_flags(args) -> dict:
+    """The tolerance flags the user gave, by ``ToleranceConfig`` field name."""
+    return {key: getattr(args, key) for key in ("zero_tol", "stat_tol", "rank_tol")
+            if getattr(args, key) is not None}
 
 
 def _load(args):
+    """The instance file as written, with only the flagged tolerances replaced."""
     try:
-        return load_instance(args.instance, _tol_overrides(args))
+        inst = load_instance(args.instance)
     except OSError as exc:
         raise ValidationError(f"cannot read instance file: {exc}") from exc
+    return replace(inst, tol=replace(inst.tol, **_tolerance_flags(args)))
 
 
 def _points_csv(report) -> str:
@@ -158,7 +160,7 @@ def _dispatch(args):
         }
         return payload, None
     if args.command == "generic":
-        tol = _tolerances_from_mapping(None, _tol_overrides(args))
+        tol = ToleranceConfig(**_tolerance_flags(args))
         report = run_genericity_experiment(args.m, args.n, args.s, args.trials, args.seed, tol=tol)
         return report.to_dict(), None
     if args.command == "iht":
@@ -194,8 +196,12 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

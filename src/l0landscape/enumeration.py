@@ -4,14 +4,17 @@ Every support of size at most ``s`` is solved once by least squares on its
 column submatrix; the points, their ND2 verdicts, the s-regularity verdict
 and the level sweep are all read from that one table.  It is built one
 support size at a time: one stacked SVD decides the ranks of all supports of
-a size, and one ``lstsq`` per support gives its argmin.  Each solution is
-M-stationary by construction because its gradient vanishes on the solved
-support, which contains the solution's own support.  Two solutions are the
-same point exactly when their supports under ``zero_tol`` agree, so the
-points are the fixpoints, the supports whose solve has exactly that support;
-``_fixpoints`` alone selects them, in report order, for the enumerator and the
-stability probe.  Rank-deficient solves certify a continuum of stationary
-points; the minimum-norm representative is kept and reported as degenerate.
+a size, and one ``lstsq`` per support gives its argmin, whose ``objective``
+is the entry's value.  Each solution is M-stationary by construction because
+its gradient vanishes on the solved support, which contains the solution's
+own support.  Two solutions are the same point exactly when their supports
+under ``zero_tol`` agree, so the points are the fixpoints, the supports whose
+solve has exactly that support; ``_fixpoints`` alone selects them, in report
+order, for the enumerator and the stability probe.  ``classify`` certifies
+each point from its entry, so a point's value, ND2 verdict and report order
+all come from its one solve.  Rank-deficient solves certify a continuum of
+stationary points; the minimum-norm representative is kept and reported as
+degenerate.
 """
 
 from __future__ import annotations
@@ -28,32 +31,21 @@ from .errors import ValidationError
 from .linalg import numerical_rank, solve_normal_equations
 from .model import (
     Instance,
-    FeasiblePoint,
     Support,
     ToleranceConfig,
     instance_to_dict,
+    objective,
     support_of,
     support_to_json,
     validate_instance,
 )
-from .stationarity import PointKind, StationaryPoint, classify
+from .stationarity import PointKind, StationaryPoint, SupportSubspace, classify
 from .util import rng_for
 
 logger = logging.getLogger(__name__)
 
 # Relative tolerance for detecting ties among stationary values.
 VALUE_TIE_REL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class SupportSubspace:
-    """Minimum of the objective over the coordinate subspace of one support."""
-
-    support: Support
-    min_value: float
-    argmin: np.ndarray
-    argmin_support: Support  # the argmin's own support under zero_tol
-    full_rank: bool
 
 
 @dataclass
@@ -172,17 +164,13 @@ def _solve_supports(inst: Instance, supports: Iterable[Support]) -> list[Support
         for S, z, full in zip(group, Z, full_rank.tolist()):
             x = np.zeros(inst.n)
             x[list(S)] = z
-            r = inst.A @ x - inst.b  # the arithmetic of objective(inst, x), bit for bit
-            subs.append(SupportSubspace(S, 0.5 * float(r @ r), x,
+            subs.append(SupportSubspace(S, objective(inst, x), x,
                                         support_of(x, inst.tol.zero_tol), full))
     return subs
 
 
 def _fixpoints(subs: Iterable[SupportSubspace]) -> list[SupportSubspace]:
-    """The entries whose solve has exactly their support, in report order (value, support).
-
-    ``classify`` computes a value by the operations that gave ``min_value``.
-    """
+    """The entries whose solve has exactly their support, in report order (value, support)."""
     return sorted((sub for sub in subs if sub.argmin_support == sub.support),
                   key=lambda sub: (sub.min_value, sub.support))
 
@@ -221,7 +209,7 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
 
     points: list[StationaryPoint] = []
     for sub in _fixpoints(table.values()):
-        sp = classify(inst, FeasiblePoint(x=sub.argmin, support=sub.support), sub.full_rank)
+        sp = classify(inst, sub)
         if sub.support in deficient and sp.kind is not PointKind.DEGENERATE:
             sp = replace(sp, kind=PointKind.DEGENERATE)
         points.append(sp)

@@ -30,6 +30,7 @@ from .linalg import default_rank_tol
 Support = tuple[int, ...]
 
 _TOLERANCE_KEYS = ("zero_tol", "stat_tol", "rank_tol")
+_TINY = np.finfo(float).tiny  # the smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,12 @@ def validate_instance(inst: Instance) -> None:
         a2, b2 = float(np.vdot(A, A)), float(b @ b)
     if not math.isfinite(a2 * b2):
         raise NonFiniteDataError("||A||_F^2 * ||b||^2 overflows float64; rescale the data")
+    # Below the smallest normal number, nonzero data loses its precision and
+    # its products round to zero, so the analysis would see zero data.
+    if a2 < _TINY and A.any():
+        raise NonFiniteDataError("||A||_F^2 underflows float64; rescale the data")
+    if b2 < _TINY and b.any():
+        raise NonFiniteDataError("||b||^2 underflows float64; rescale the data")
     if not isinstance(s, (int, np.integer)) or not 0 <= s <= n - 1:
         raise SparsityRangeError(f"s must lie in {{0, ..., n-1}} = {{0, ..., {n - 1}}}, got {s}")
     if s > m:
@@ -174,7 +181,7 @@ def validate_instance(inst: Instance) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _tolerances_from_mapping(raw, overrides: dict | None) -> ToleranceConfig:
+def _tolerances_from_mapping(raw) -> ToleranceConfig:
     merged: dict = {}
     if raw is not None:
         if not isinstance(raw, dict):
@@ -188,11 +195,6 @@ def _tolerances_from_mapping(raw, overrides: dict | None) -> ToleranceConfig:
                 merged[key] = float(value)
             except OverflowError as exc:
                 raise InstanceFormatError(f"tolerance '{key}': {exc}") from exc
-    for key, value in (overrides or {}).items():
-        if key not in _TOLERANCE_KEYS:
-            raise InstanceFormatError(f"unknown tolerance override '{key}'")
-        if value is not None:
-            merged[key] = float(value)
     return ToleranceConfig(**merged)
 
 
@@ -205,7 +207,7 @@ def _check_numbers(key: str, value) -> None:
         raise InstanceFormatError(f"'{key}' entries must be numbers, got {value!r}")
 
 
-def instance_from_dict(data: dict, tol_overrides: dict | None = None) -> Instance:
+def instance_from_dict(data: dict) -> Instance:
     """Build an Instance from the JSON object form, checking declared shapes."""
     if not isinstance(data, dict):
         raise InstanceFormatError("instance JSON must be an object")
@@ -230,21 +232,20 @@ def instance_from_dict(data: dict, tol_overrides: dict | None = None) -> Instanc
         raise DimensionMismatchError(f"A has shape {A.shape}, expected ({m}, {n})")
     if b.shape != (m,):
         raise DimensionMismatchError(f"b has shape {b.shape}, expected ({m},)")
-    tol = _tolerances_from_mapping(data.get("tolerances"), tol_overrides)
-    return Instance.from_arrays(A, b, s, tol)
+    return Instance.from_arrays(A, b, s, _tolerances_from_mapping(data.get("tolerances")))
 
 
-def parse_instance_json(text: str, tol_overrides: dict | None = None) -> Instance:
+def parse_instance_json(text: str) -> Instance:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return instance_from_dict(data, tol_overrides)
+    return instance_from_dict(data)
 
 
-def parse_instance_csv(text: str, tol_overrides: dict | None = None) -> Instance:
+def parse_instance_csv(text: str) -> Instance:
     rows = list(csv.reader(io.StringIO(text)))
     # Track original line numbers and drop blank lines.
     numbered = [(i + 1, row) for i, row in enumerate(rows) if any(cell.strip() for cell in row)]
@@ -275,17 +276,16 @@ def parse_instance_csv(text: str, tol_overrides: dict | None = None) -> Instance
     A = A.reshape(m, n)
     b_line, b_row = body[m]
     b = np.array(parse_row(b_line, b_row, m), dtype=float)
-    tol = _tolerances_from_mapping(None, tol_overrides)
-    return Instance.from_arrays(A, b, s, tol)
+    return Instance.from_arrays(A, b, s)
 
 
-def load_instance(path, tol_overrides: dict | None = None) -> Instance:
+def load_instance(path) -> Instance:
     """Read an instance file, sniffing JSON ('{' first) versus CSV."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return parse_instance_json(text, tol_overrides)
-    return parse_instance_csv(text, tol_overrides)
+        return parse_instance_json(text)
+    return parse_instance_csv(text)
 
 
 def instance_to_dict(inst: Instance) -> dict:

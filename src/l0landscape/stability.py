@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NonFiniteDataError, ValidationError
 from .model import Instance, complement_of, support_of, validate_instance
 from .enumeration import LandscapeReport, _fixpoints, _solve_supports
 from .stationarity import StationaryPoint
@@ -185,7 +185,11 @@ def probe_strong_stability(
         perturbed = perturb_instance(
             inst, cfg.delta, spawn_seed(cfg.seed, t), paper_mode=cfg.paper_mode
         )
-        near = _near_stationary_points(perturbed, x_bar, r)
+        try:
+            near = _near_stationary_points(perturbed, x_bar, r)
+        except NonFiniteDataError as exc:
+            raise ValidationError(
+                f"delta={cfg.delta} gives perturbed data outside float64 range: {exc}") from exc
         exists = any(np.linalg.norm(x - x_bar) <= cfg.epsilon for x in near)
         exists_count += exists
         unique_count += exists and len(near) == 1

@@ -15,9 +15,11 @@ smaller is a lower-order stationary point.  Points failing ND1 or ND2 are
 reported as degenerate without attempting a minimizer/saddle label.
 
 The points classified here are least-squares solves of their supports, so
-they are M-stationary by construction: :func:`classify` reports the
-stationarity residual but never gates on it, and takes ND2 from the rank
-verdict the support table already made for the support.
+they are M-stationary by construction.  :func:`classify` reads everything
+but the gradient from the point's support-table entry, a
+:class:`SupportSubspace`: the point, its value and the rank verdict that
+decides ND2.  The gradient comes from :func:`gradient`; the stationarity
+residual is reported but never gated on.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, InfeasiblePointError
-from .model import FeasiblePoint, Instance, complement_of
+from .model import FeasiblePoint, Instance, Support
 
 
 class PointKind(str, Enum):
@@ -37,6 +39,17 @@ class PointKind(str, Enum):
     SADDLE_POINT = "SaddlePoint"
     LOWER_ORDER = "LowerOrderStationary"
     DEGENERATE = "DegeneratePoint"
+
+
+@dataclass(frozen=True, eq=False)
+class SupportSubspace:
+    """Minimum of the objective over the coordinate subspace of one support."""
+
+    support: Support
+    min_value: float
+    argmin: np.ndarray
+    argmin_support: Support  # the argmin's own support under zero_tol
+    full_rank: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,26 +113,22 @@ def stationarity_residual(inst: Instance, point: FeasiblePoint) -> float:
     return _max_on_support(inst, point, gradient(inst, point.x))
 
 
-def classify(inst: Instance, point: FeasiblePoint, full_rank: bool) -> StationaryPoint:
-    """Certify and classify a point by nondegeneracy and sparsity level.
+def classify(inst: Instance, sub: SupportSubspace) -> StationaryPoint:
+    """Certify and classify the point of a support-table entry.
 
-    ``full_rank`` is the rank verdict on the support columns, read from the
-    support table, and decides ND2.  ND1 uses a strict threshold: entries
-    must exceed ``stat_tol`` in absolute value.  A smallest magnitude in
-    ``(0, stat_tol]`` is a failure with the near-degenerate warning set,
-    since floating point cannot certify exact nonvanishing.  The
-    stationarity residual is reported, never checked against a tolerance.
+    ``sub`` is a fixpoint of the table, so its argmin is the point and its
+    ``min_value`` the point's value; its rank verdict decides ND2.  ND1 uses
+    a strict threshold: entries must exceed ``stat_tol`` in absolute value.
+    A smallest magnitude in ``(0, stat_tol]`` is a failure with the
+    near-degenerate warning set, since floating point cannot certify exact
+    nonvanishing.  The stationarity residual is reported, never checked
+    against a tolerance.
     """
-    x = np.asarray(point.x, dtype=float)
-    if x.shape != (inst.n,):
-        raise DimensionMismatchError(f"x must have length {inst.n}, got shape {x.shape}")
-    # The value and the gradient come from one residual by the operations of
-    # ``objective`` and ``gradient``, so both are bit for bit theirs.
-    r = inst.A @ x - inst.b
-    g = inst.A.T @ r
+    point = FeasiblePoint(sub.argmin, sub.support)
+    g = gradient(inst, sub.argmin)
     resid = _max_on_support(inst, point, g)
-    k = len(point.support)
-    vec = np.zeros(0) if k == inst.s else g[list(complement_of(point.support, inst.n))]
+    k = len(sub.support)
+    vec = np.zeros(0) if k == inst.s else np.delete(g, sub.support)
     min_abs = float(np.min(np.abs(vec), initial=math.inf))
     nd1 = min_abs > inst.tol.stat_tol
     cert = NondegeneracyCertificate(
@@ -127,7 +136,7 @@ def classify(inst: Instance, point: FeasiblePoint, full_rank: bool) -> Stationar
         nd1_vector=vec,
         nd1_min_abs=min_abs,
         nd1_near_degenerate=(not nd1) and min_abs > 0.0,
-        nd2_holds=full_rank,
+        nd2_holds=sub.full_rank,
     )
     if not cert.nondegenerate:
         kind = PointKind.DEGENERATE
@@ -139,7 +148,7 @@ def classify(inst: Instance, point: FeasiblePoint, full_rank: bool) -> Stationar
         kind = PointKind.LOWER_ORDER
     return StationaryPoint(
         point=point,
-        value=0.5 * float(r @ r),
+        value=sub.min_value,
         stationarity_residual=resid,
         cert=cert,
         kind=kind,

@@ -305,6 +305,6 @@ def kinds_by_chasing_every_entry(inst: Instance) -> tuple[set, bool]:
         finals[U] = finals.get(U, False) or not sub.full_rank
     kinds = set()
     for U, deficient in finals.items():
-        kind = classify(inst, FeasiblePoint(table[U].argmin, U), table[U].full_rank).kind
+        kind = classify(inst, table[U]).kind
         kinds.add((U, PointKind.DEGENERATE if deficient else kind))
     return kinds, any(finals.values())

@@ -96,6 +96,26 @@ class TestAnalyze:
                                       "--stat-tol", "1e-6"])
         assert rc == 0
 
+    def test_tolerance_overrides_apply(self, capsys, tmp_path):
+        # The origin's off-support gradient is -b, inside (1e-9, 1e-8]: ND1
+        # fails at the default stat_tol and holds at 1e-9.  The file's
+        # zero_tol of 1e-8 hides the axis points, so the flag must replace
+        # stat_tol alone and keep the file's zero_tol.
+        data = {"m": 2, "n": 2, "s": 1, "A": [[1.0, 0.0], [0.0, 1.0]], "b": [5e-9, 3e-9]}
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(data))
+        with_tol = tmp_path / "with_tol.json"
+        with_tol.write_text(json.dumps({**data, "tolerances": {"zero_tol": 1e-8}}))
+
+        def kinds(path, *flags):
+            rc, out, err = run_cli(capsys, ["analyze", "--instance", str(path), *flags])
+            assert rc == 0, err
+            return [(p["support"], p["kind"]) for p in json.loads(out)["points"]]
+
+        assert kinds(with_tol) == [([], "DegeneratePoint")]
+        assert kinds(with_tol, "--stat-tol", "1e-9") == [([], "SaddlePoint")]
+        assert len(kinds(plain, "--stat-tol", "1e-9")) == 3
+
 
 class TestErrorPaths:
     def test_missing_file_exits_2(self, capsys, tmp_path):
@@ -199,6 +219,31 @@ class TestErrorPaths:
         rc, out, err = run_cli(capsys, [command, "--instance", str(path)])
         assert (rc, out) == (2, "")
         assert err == "error: ||A||_F^2 * ||b||^2 overflows float64; rescale the data\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "regularity", "sweep", "iht"])
+    def test_data_that_underflows_exits_2(self, capsys, tmp_path, command):
+        # Every product of these entries rounds to zero, so the analysis
+        # would report the landscape of zero data.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"m": 2, "n": 3, "s": 1,
+                                    "A": [[1e-300, 0, 2e-300], [0, 1e-300, 1e-300]],
+                                    "b": [1e-300, 1e-300]}))
+        rc, out, err = run_cli(capsys, [command, "--instance", str(path)])
+        assert (rc, out) == (2, "")
+        assert err == "error: ||A||_F^2 underflows float64; rescale the data\n"
+
+    @pytest.mark.parametrize("target", ["missing/dir/report.json", "."], ids=["missing", "dir"])
+    def test_unwritable_out_path_exits_2(self, capsys, tmp_path, saddle_file, target):
+        rc, out, err = run_cli(capsys, ["analyze", "--instance", saddle_file,
+                                        "--out", str(tmp_path / target)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot write report: ")
+
+    def test_probe_delta_beyond_float_range_names_delta(self, capsys, saddle_file):
+        rc, out, err = run_cli(capsys, ["probe", "--instance", saddle_file,
+                                        "--seed", "1", "--trials", "2", "--delta", "1e200"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: delta=1e+200 ")
 
     def test_non_finite_report_is_an_internal_error(self, capsys, saddle_file, monkeypatch):
         import l0landscape.cli as cli_mod

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from l0landscape import (
-    FeasiblePoint,
     Instance,
     PointKind,
     ToleranceConfig,
     check_s_regularity,
-    classify,
     enumerate_stationary,
     enumerate_supports,
+    gradient,
     numerical_rank,
     objective,
     run_genericity_experiment,
@@ -349,20 +348,24 @@ class TestStackedTable:
             assert sub.full_rank == (numerical_rank(inst.A[:, S], inst.tol.rank_tol) == len(S))
 
     def test_points_are_classified_by_the_pointwise_rule(self):
-        # Every reported point must carry the certificate and value that
-        # classify and objective give it one point at a time; a gradient
-        # batched over all points rounds the ND1 entries differently here.
+        # Every reported point must carry the value that objective and the
+        # off-support gradient that gradient give it one point at a time; a
+        # gradient batched over all points rounds the ND1 entries differently.
         inst = duplicate_column_instance()
         rep = enumerate_stationary(inst)
         assert rep.degenerate > 0
         for p in rep.points:
             U = p.point.support
-            one = classify(inst, FeasiblePoint(x=p.point.x, support=U), rep.table[U].full_rank)
-            assert p.value == one.value == objective(inst, p.point.x)
-            assert p.cert.nd1_holds == one.cert.nd1_holds
-            assert p.cert.nd1_near_degenerate == one.cert.nd1_near_degenerate
-            assert p.cert.nd1_min_abs == one.cert.nd1_min_abs
-            assert np.array_equal(p.cert.nd1_vector, one.cert.nd1_vector)
+            assert p.value == objective(inst, p.point.x)
+            off = gradient(inst, p.point.x)[[i for i in range(inst.n) if i not in U]]
+            if len(U) == inst.s:
+                assert p.cert.nd1_vector.shape == (0,)
+            else:
+                assert np.array_equal(p.cert.nd1_vector, off)
+                min_abs = float(np.min(np.abs(off), initial=np.inf))
+                assert p.cert.nd1_min_abs == min_abs
+                assert p.cert.nd1_holds == (min_abs > inst.tol.stat_tol)
+                assert p.cert.nd1_near_degenerate == (0.0 < min_abs <= inst.tol.stat_tol)
 
 
 class TestSRegularity:

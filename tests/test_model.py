@@ -93,6 +93,21 @@ class TestValidateInstance:
     def test_large_finite_data_accepted(self):
         validate_instance(Instance.from_arrays([[1e100, 0.0], [0.0, 1.0]], [1e50, 0.0], 1))
 
+    @pytest.mark.parametrize("A, b, name", [
+        ([[1e-160, 0.0], [0.0, 0.0]], [1.0, 0.0], "||A||_F^2"),
+        (np.eye(2), [1e-160, 1e-160], "||b||^2"),
+    ], ids=["A", "b"])
+    def test_underflowing_norms_rejected(self, A, b, name):
+        with pytest.raises(NonFiniteDataError, match=re.escape(f"{name} underflows float64")):
+            validate_instance(Instance.from_arrays(A, b, 1))
+
+    @pytest.mark.parametrize("A, b", [
+        (np.zeros((2, 2)), np.zeros(2)),
+        ([[1e-150, 0.0], [0.0, 0.0]], [1e-150, 0.0]),  # the squares are still normal
+    ], ids=["zero", "small"])
+    def test_zero_and_small_data_accepted(self, A, b):
+        validate_instance(Instance.from_arrays(A, b, 1))
+
     def test_b_shape_rejected(self):
         with pytest.raises(DimensionMismatchError):
             validate_instance(Instance.from_arrays(np.eye(2), [1.0, 1.0, 1.0], 1))
@@ -161,15 +176,6 @@ class TestInstanceFiles:
                 "b": [0.0, 0.0], "extra": 1}
         with pytest.raises(InstanceFormatError, match="extra"):
             instance_from_dict(data)
-
-    def test_tolerance_overrides_apply(self, tmp_path, saddle_instance):
-        path = tmp_path / "inst.json"
-        payload = instance_to_dict(saddle_instance)
-        payload["tolerances"] = {"zero_tol": 1e-10}
-        path.write_text(json.dumps(payload))
-        loaded = load_instance(path, {"stat_tol": 1e-6})
-        assert loaded.tol.zero_tol == pytest.approx(1e-10)
-        assert loaded.tol.stat_tol == pytest.approx(1e-6)
 
     # Older instance files may still set "dedupe_tol"; it is rejected like
     # any other unknown key.

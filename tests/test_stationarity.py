@@ -34,8 +34,10 @@ def point(inst, coords):
 
 
 def classified(inst, fp):
-    """``classify`` with ND2 read from the support's subspace solve."""
-    return classify(inst, fp, support_min_table(inst)[fp.support].full_rank)
+    """``classify`` of the support-table entry of the stationary point ``fp``."""
+    sub = support_min_table(inst)[fp.support]
+    np.testing.assert_allclose(sub.argmin, fp.x, atol=1e-12)
+    return classify(inst, sub)
 
 
 class TestGradient:
