@@ -9,8 +9,10 @@ is the entry's value.  Each solution is M-stationary by construction because
 its gradient vanishes on the solved support, which contains the solution's
 own support.  Two solutions are the same point exactly when their supports
 under ``zero_tol`` agree, so the points are the fixpoints, the supports whose
-solve has exactly that support; ``_fixpoints`` alone selects them, in report
-order, for the enumerator and the stability probe.  ``classify`` certifies
+solve has exactly that support.  A solve vanishes off its support, so those
+are the supports all of whose solved coefficients exceed ``zero_tol``: one
+mask per size.  ``_fixpoints`` alone selects them, in report order, for the
+enumerator and the stability probe.  ``classify`` certifies
 each point from its entry, so a point's value, ND2 verdict and report order
 all come from its one solve.  Rank-deficient solves certify a continuum of
 stationary points; the minimum-norm representative is kept and reported as
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -76,20 +78,11 @@ class LandscapeReport:
     table: dict[Support, SupportSubspace] = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "points": [_point_to_dict(p) for p in self.points],
-            "r": self.r,
-            "r1": self.r1,
-            "lower_order": self.lower_order,
-            "degenerate": self.degenerate,
-            "s_regular": self.s_regular,
-            "s_regularity_witness": support_to_json(self.s_regularity_witness),
-            "morse_lhs": self.morse_lhs,
-            "morse_rhs": self.morse_rhs,
-            "morse_holds": self.morse_holds,
-            "continuum_detected": self.continuum_detected,
-            "hypothesis_violated": self.hypothesis_violated,
-        }
+        """Every field but ``table``, in field order; ``asdict`` would copy the table."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "table"}
+        d["points"] = [_point_to_dict(p) for p in self.points]
+        d["s_regularity_witness"] = support_to_json(self.s_regularity_witness)
+        return d
 
 
 @dataclass
@@ -103,13 +96,7 @@ class GenericityReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "all_nondegenerate_fraction": self.all_nondegenerate_fraction,
-            "minimizers_active_fraction": self.minimizers_active_fraction,
-            "s_regular_fraction": self.s_regular_fraction,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _point_to_dict(p: StationaryPoint) -> dict:
@@ -154,24 +141,28 @@ def check_s_regularity(A, s: int, rank_tol: float) -> tuple[bool, Support | None
 
 
 def _solve_supports(inst: Instance, supports: Iterable[Support]) -> list[SupportSubspace]:
-    """Subspace minima of supports in size order: per size one stacked SVD, one ``lstsq`` each."""
+    """Subspace minima of supports in size order.
+
+    Per size: one stacked SVD for the ranks, one ``lstsq`` per support, the
+    argmins as the rows of one ``(N, n)`` block and one fixpoint mask.
+    """
     subs = []
     for _, group in itertools.groupby(supports, key=len):
         group = list(group)
         stack = _column_stack(inst.A, group)
         full_rank = numerical_rank(stack, inst.tol.rank_tol) == stack.shape[2]
         Z = solve_normal_equations(stack, inst.b, inst.tol.rank_tol)
-        for S, z, full in zip(group, Z, full_rank.tolist()):
-            x = np.zeros(inst.n)
-            x[list(S)] = z
-            subs.append(SupportSubspace(S, objective(inst, x), x,
-                                        support_of(x, inst.tol.zero_tol), full))
+        fixpoint = (np.abs(Z) > inst.tol.zero_tol).all(axis=1)
+        X = np.zeros((len(group), inst.n))
+        X[np.arange(len(group))[:, None], np.array(group, dtype=int)] = Z
+        subs += [SupportSubspace(S, objective(inst, x), x, fix, full)
+                 for S, x, fix, full in zip(group, X, fixpoint.tolist(), full_rank.tolist())]
     return subs
 
 
 def _fixpoints(subs: Iterable[SupportSubspace]) -> list[SupportSubspace]:
-    """The entries whose solve has exactly their support, in report order (value, support)."""
-    return sorted((sub for sub in subs if sub.argmin_support == sub.support),
+    """The fixpoint entries, in report order (value, support)."""
+    return sorted((sub for sub in subs if sub.fixpoint),
                   key=lambda sub: (sub.min_value, sub.support))
 
 
@@ -203,8 +194,8 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
     deficient: set[Support] = set()
     for sub in table.values():
         if not sub.full_rank:
-            while sub.argmin_support != sub.support:
-                sub = table[sub.argmin_support]
+            while not sub.fixpoint:
+                sub = table[support_of(sub.argmin, inst.tol.zero_tol)]
             deficient.add(sub.support)
 
     points: list[StationaryPoint] = []

@@ -3,7 +3,8 @@
 Strong stability asks that every sufficiently small perturbation of the data
 leaves exactly one M-stationary point near the original one.  Sampling cannot
 prove that, so verdicts are labeled evidence; nondegeneracy supplies the
-exact criterion, and the probe's role is cross-validation of the two.
+exact criterion, read from the point's reported kind, and the probe's role is
+cross-validation of the two.
 
 A trial only needs the stationary points of the perturbed problem within
 ``r = 2 * epsilon`` of the probed point ``x_bar``, so it solves only the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import NonFiniteDataError, ValidationError
 from .model import Instance, complement_of, support_of, validate_instance
 from .enumeration import LandscapeReport, _fixpoints, _solve_supports
-from .stationarity import StationaryPoint
+from .stationarity import PointKind, StationaryPoint
 from .util import rng_for, spawn_seed
 
 
@@ -77,15 +78,7 @@ class StabilityReport:
     perturbed_points_sample: list[list[list[float]]]
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "exists_count": self.exists_count,
-            "unique_count": self.unique_count,
-            "verdict": self.verdict.value,
-            "nondegenerate_expected": self.nondegenerate_expected,
-            "agreement": self.agreement,
-            "perturbed_points_sample": self.perturbed_points_sample,
-        }
+        return asdict(self)
 
 
 def perturb_instance(
@@ -171,8 +164,10 @@ def probe_strong_stability(
     A trial succeeds when some stationary point of the perturbed problem lies
     within ``epsilon`` of the probed point and is the only one within
     ``2 * epsilon``; the verdict is stable evidence exactly when every trial
-    succeeds.  ``agreement`` records whether that matches the nondegeneracy
-    certificate, which characterizes strong stability exactly.  A trial
+    succeeds.  Stable evidence is expected exactly when the point's kind is
+    not ``DegeneratePoint``, the one degenerate verdict: a point on a
+    continuum is degenerate even when its own certificate passes.
+    ``agreement`` records whether the verdict matches that.  A trial
     solves only the supports that can hold a point within ``2 * epsilon``
     (see the module docstring).
     """
@@ -198,7 +193,7 @@ def probe_strong_stability(
     verdict = (
         StabilityVerdict.STABLE if unique_count == cfg.trials else StabilityVerdict.UNSTABLE
     )
-    expected = point.cert.nondegenerate
+    expected = point.kind is not PointKind.DEGENERATE
     return StabilityReport(
         trials=cfg.trials,
         exists_count=exists_count,

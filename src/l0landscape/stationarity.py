@@ -18,8 +18,9 @@ The points classified here are least-squares solves of their supports, so
 they are M-stationary by construction.  :func:`classify` reads everything
 but the gradient from the point's support-table entry, a
 :class:`SupportSubspace`: the point, its value and the rank verdict that
-decides ND2.  The gradient comes from :func:`gradient`; the stationarity
-residual is reported but never gated on.
+decides ND2.  The gradient comes from :func:`gradient`; the certificate keeps
+only its ND1 margin, and the stationarity residual is reported but never
+gated on.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class SupportSubspace:
     support: Support
     min_value: float
     argmin: np.ndarray
-    argmin_support: Support  # the argmin's own support under zero_tol
+    fixpoint: bool  # every solved coefficient exceeds zero_tol: the argmin is a point
     full_rank: bool
 
 
@@ -56,16 +57,14 @@ class SupportSubspace:
 class NondegeneracyCertificate:
     """Outcome of the ND1/ND2 checks at one M-stationary point.
 
-    ``nd1_vector`` holds the gradient entries on the off-support indices in
-    increasing index order; it is empty (and ``nd1_min_abs`` infinite) when
-    the sparsity constraint is active, in which case ND1 holds vacuously.
-    ``nd1_near_degenerate`` warns that the smallest off-support gradient
-    magnitude fell into ``(0, stat_tol]``: ND1 is reported as failed, but the
+    ``nd1_min_abs`` is the smallest gradient magnitude on the off-support
+    indices, the ND1 margin; it is infinite when the sparsity constraint is
+    active, in which case ND1 holds vacuously.  ``nd1_near_degenerate`` warns
+    that it fell into ``(0, stat_tol]``: ND1 is reported as failed, but the
     failure is within numerical noise of a pass.
     """
 
     nd1_holds: bool
-    nd1_vector: np.ndarray
     nd1_min_abs: float
     nd1_near_degenerate: bool
     nd2_holds: bool
@@ -133,7 +132,6 @@ def classify(inst: Instance, sub: SupportSubspace) -> StationaryPoint:
     nd1 = min_abs > inst.tol.stat_tol
     cert = NondegeneracyCertificate(
         nd1_holds=nd1,
-        nd1_vector=vec,
         nd1_min_abs=min_abs,
         nd1_near_degenerate=(not nd1) and min_abs > 0.0,
         nd2_holds=sub.full_rank,

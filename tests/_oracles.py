@@ -16,12 +16,16 @@ The M-stationarity test and the direct ND1 vector are written from their
 definitions through the public gradient and stationarity residual.  The
 errors these oracles raise for a rank-deficient matrix or a non-stationary
 point are defined here, since nothing in the package raises them.
+:func:`exact_table` solves every support in exact rational arithmetic on
+the binary64 data, with no tolerance at all.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -308,3 +312,81 @@ def kinds_by_chasing_every_entry(inst: Instance) -> tuple[set, bool]:
         kind = classify(inst, table[U]).kind
         kinds.add((U, PointKind.DEGENERATE if deficient else kind))
     return kinds, any(finals.values())
+
+
+@dataclass(frozen=True)
+class ExactSupport:
+    """Exact facts about the least-squares problem of one support ``S``.
+
+    ``gram_det`` is ``det(A_S^T A_S)`` and ``frobenius_sq`` is
+    ``||A_S||_F^2``.  Under full column rank, ``coefficients`` is the unique
+    solve on ``S``, ``value`` its objective and ``off_gradient`` the gradient
+    entries off ``S`` in increasing index order; otherwise all three are
+    ``None``.
+    """
+
+    rank: int
+    gram_det: Fraction
+    frobenius_sq: Fraction
+    coefficients: tuple[Fraction, ...] | None
+    value: Fraction | None
+    off_gradient: tuple[Fraction, ...] | None
+
+
+def _eliminate(G: list[list[Fraction]], c: list[Fraction]):
+    """Rank, determinant and (under full rank) solution of ``G z = c`` by exact elimination."""
+    k = len(G)
+    M = [row[:] + [ci] for row, ci in zip(G, c)]
+    det, rank = Fraction(1), 0
+    for col in range(k):
+        pivot = next((r for r in range(rank, k) if M[r][col] != 0), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            M[rank], M[pivot] = M[pivot], M[rank]
+            det = -det
+        det *= M[rank][col]
+        for r in range(k):
+            if r != rank and M[r][col] != 0:
+                f = M[r][col] / M[rank][col]
+                M[r] = [a - f * p for a, p in zip(M[r], M[rank])]
+        rank += 1
+    if rank < k:
+        return rank, det, None
+    return rank, det, tuple(M[i][k] / M[i][i] for i in range(k))
+
+
+def exact_table(A, b, s: int) -> dict[tuple[int, ...], ExactSupport]:
+    """Every support of size at most ``s``, solved exactly on the binary64 data.
+
+    Each float is an exact rational, so the normal equations
+    ``A_S^T A_S z = A_S^T b`` are formed and eliminated with
+    :class:`fractions.Fraction` without rounding; the rank of ``A_S`` is that
+    of its Gram matrix.  At the solve, the value is
+    ``(||b||^2 - (A_S^T b)^T z) / 2`` and the gradient is
+    ``A^T A x - A^T b``.  Meant for ``n <= 7`` and ``s <= 3``.
+    """
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    if n > 7 or s > 3:
+        raise ValueError(f"exact_table is meant for n <= 7 and s <= 3, got n={n}, s={s}")
+    Af = [[Fraction(v) for v in row] for row in A.tolist()]
+    bf = [Fraction(v) for v in np.asarray(b, dtype=float).tolist()]
+    gram = [[sum((Af[r][i] * Af[r][j] for r in range(m)), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+    atb = [sum((Af[r][i] * bf[r] for r in range(m)), Fraction(0)) for i in range(n)]
+    btb = sum((v * v for v in bf), Fraction(0))
+    table = {}
+    for k in range(s + 1):
+        for S in itertools.combinations(range(n), k):
+            G = [[gram[i][j] for j in S] for i in S]
+            rank, det, z = _eliminate(G, [atb[i] for i in S])
+            fro = sum((gram[i][i] for i in S), Fraction(0))
+            value = off = None
+            if z is not None:
+                value = (btb - sum((atb[i] * zi for i, zi in zip(S, z)), Fraction(0))) / 2
+                off = tuple(sum((gram[j][i] * zi for i, zi in zip(S, z)), Fraction(0)) - atb[j]
+                            for j in range(n) if j not in S)
+            table[S] = ExactSupport(rank, det, fro, z, value, off)
+    return table

@@ -12,7 +12,8 @@ of the program, then shows every report that changed.
 
 The instances are seeded Gaussian data and its zero-column and
 duplicate-column variants at three shapes and three seeds, plus a few small
-hand-written files for the tolerance flags and the error paths.  They are
+hand-written files for the tolerance flags, a continuum, a coefficient at
+``zero_tol`` and the error paths.  They are
 written to a scratch directory that is the working directory while the
 commands run, and named by relative path, so no recorded byte depends on
 where the corpus ran.
@@ -103,6 +104,21 @@ def _commands() -> list[list[str]]:
         ["generic", "--m", "3", "--n", "5", "--s", "2", "--trials", "5", "--seed", "0",
          "--stat-tol", "10"],
         ["analyze", "--instance", csv_file, "--out", "reports/analyze.json"],
+    ]
+
+    # A continuum through the origin, which passes ND1 and ND2 on its own
+    # (point 5), and a solved coefficient exactly at zero_tol.
+    continuum = _write("inst/continuum.json", {
+        "m": 3, "n": 3, "s": 2, "A": [[10.0, 10.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+        "b": [1.5e-8, 1.0, 0.0]})
+    probe = ["probe", "--instance", continuum, "--point", "5", "--seed", "0", "--trials", "20"]
+    commands += [
+        ["analyze", "--instance", continuum],
+        ["sweep", "--instance", continuum],
+        probe,
+        probe + ["--epsilon", "1e-9"],
+        ["analyze", "--instance", _write("inst/at-zero-tol.json", {
+            "m": 2, "n": 2, "s": 1, "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1e-9, 1.0]})],
     ]
 
     # Error paths.

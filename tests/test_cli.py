@@ -423,6 +423,28 @@ class TestOtherCommands:
         assert payload["agreement"] is True
         assert payload["point"]["kind"] == "DegeneratePoint"
 
+    def test_probe_expects_the_reported_kind_on_a_continuum_point(self, capsys, tmp_path):
+        # The origin passes ND1 and ND2 on its own, but the duplicated pair's
+        # continuum passes through it, so it is reported degenerate; the
+        # probe's expectation must follow that kind, not the certificate.
+        path = tmp_path / "continuum.json"
+        path.write_text(json.dumps({"m": 3, "n": 3, "s": 2,
+                                    "A": [[10.0, 10.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+                                    "b": [1.5e-8, 1.0, 0.0]}))
+        rc, out, err = run_cli(capsys, ["analyze", "--instance", str(path)])
+        assert rc == 0, err
+        origin = json.loads(out)["points"][5]
+        assert (origin["support"], origin["kind"]) == ([], "DegeneratePoint")
+        assert origin["nd1"] and origin["nd2"]
+        argv = ["probe", "--instance", str(path), "--point", "5", "--seed", "0", "--trials", "20"]
+        rc, out, err = run_cli(capsys, argv + ["--epsilon", "1e-9"])
+        assert rc == 0, err
+        payload = json.loads(out)
+        assert payload["point"]["kind"] == "DegeneratePoint"
+        assert payload["nondegenerate_expected"] is False
+        assert payload["verdict"] == "UnstableEvidence"
+        assert payload["agreement"] is True
+
     def test_probe_paper_mode(self, capsys, instability_file):
         rc, out, _ = run_cli(capsys, ["probe", "--instance", instability_file,
                                       "--seed", "3", "--trials", "5", "--paper-mode"])

@@ -1,0 +1,129 @@
+"""The support table and the points against exact rational arithmetic.
+
+``_oracles.exact_table`` solves every support of the binary64 data without
+rounding.  A float decision ``v > tol`` is pinned only where the exact ``v``
+clears the tolerance by a factor of 100 either way; the other decisions are
+skipped, and so is every fact of a support whose full rank is not certified.
+"""
+
+import collections
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from l0landscape import Instance, enumerate_stationary
+from l0landscape.enumeration import VALUE_TIE_REL
+
+from _oracles import exact_table, landscape_instance
+
+MARGIN = 100
+
+CASES = [(shape, variant, seed)
+         for shape in [(3, 5, 2), (4, 7, 2), (5, 7, 3)]
+         for variant in ["generic", "zero-column", "duplicate-column"]
+         for seed in range(2)]
+
+
+def _clear(v: Fraction, tol: float) -> bool | None:
+    """The exact verdict of ``v > tol`` where ``v`` clears ``tol`` 100-fold, else None."""
+    tol = Fraction(tol)
+    if MARGIN * v <= tol:
+        return False
+    return True if v >= MARGIN * tol else None
+
+
+def _full_rank(ex, k: int, rank_tol: float) -> bool | None:
+    """The exact full-rank verdict where it is certified, else None.
+
+    Exact rank deficiency is certain.  Full rank is certified when
+    ``det(A_S^T A_S) >= (100 rank_tol)^2 ||A_S||_F^(2k)``: the determinant is
+    the product of the squared singular values and ``||A_S||_F >= sigma_max``,
+    so then ``sigma_min >= 100 rank_tol sigma_max``.
+    """
+    if ex.rank < k:
+        return False
+    bound = (MARGIN * Fraction(rank_tol)) ** 2 * ex.frobenius_sq ** k
+    return True if ex.gram_det >= bound else None
+
+
+class TestExactTable:
+    def test_hand_solved_supports(self):
+        exact = exact_table([[1.0, 1.0], [0.0, 1.0]], [1.0, 2.0], 2)
+        assert exact[(0, 1)].coefficients == (-1, 2)
+        assert (exact[(0, 1)].value, exact[(0, 1)].off_gradient) == (0, ())
+        assert exact[(0,)].coefficients == (1,)
+        assert (exact[(0,)].value, exact[(0,)].off_gradient) == (2, (-2,))
+        assert (exact[()].value, exact[()].off_gradient) == (Fraction(5, 2), (-1, -3))
+
+    def test_rank_deficient_supports_have_no_solve(self):
+        exact = exact_table([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], [1.0, 0.0], 2)
+        assert (exact[(0, 1)].rank, exact[(0, 1)].gram_det) == (1, 0)
+        assert exact[(0, 1)].coefficients is None
+        assert (exact[(2,)].rank, exact[(2,)].value) == (0, None)
+        assert exact[(0, 2)].rank == 1
+
+    def test_data_are_read_as_exact_binary64(self):
+        exact = exact_table([[1.0]], [0.1], 1)
+        assert exact[(0,)].coefficients == (Fraction(0.1),)
+        assert exact[(0,)].coefficients != (Fraction(1, 10),)
+
+
+@pytest.mark.parametrize("shape,variant,seed", CASES)
+def test_table_and_points_agree_with_exact_arithmetic(shape, variant, seed):
+    inst = landscape_instance(shape, variant, seed)
+    tol = inst.tol
+    rep = enumerate_stationary(inst)
+    exact = exact_table(inst.A, inst.b, inst.s)
+    points = {p.point.support: p for p in rep.points}
+    pinned = collections.Counter()
+    certified = set()
+    for S, sub in rep.table.items():
+        ex = exact[S]
+        full = _full_rank(ex, len(S), tol.rank_tol)
+        if full is None:
+            continue
+        assert sub.full_rank == full, S
+        pinned["full_rank"] += 1
+        if not full:
+            continue
+        certified.add(S)
+        smallest = min(map(abs, ex.coefficients), default=None)
+        fixpoint = True if smallest is None else _clear(smallest, tol.zero_tol)
+        if fixpoint is None:
+            continue
+        assert sub.fixpoint == fixpoint == (S in points), S
+        pinned["fixpoint"] += 1
+        if not fixpoint:
+            continue
+        cert = points[S].cert
+        if len(S) == inst.s:
+            assert cert.nd1_holds and cert.nd1_min_abs == math.inf
+        elif (nd1 := _clear(min(map(abs, ex.off_gradient)), tol.stat_tol)) is not None:
+            assert cert.nd1_holds == nd1, S
+            pinned["nd1"] += 1
+    ordered = [p.point.support for p in rep.points if p.point.support in certified]
+    for S, T in itertools.combinations(ordered, 2):
+        a, b = exact[S].value, exact[T].value
+        if abs(b - a) >= MARGIN * Fraction(VALUE_TIE_REL) * (1 + max(abs(a), abs(b))):
+            assert a < b, (S, T)
+            pinned["order"] += 1
+    assert min(pinned[key] for key in ("full_rank", "fixpoint", "nd1", "order")) > 0, pinned
+
+
+def test_identity_case_has_distinct_exact_values():
+    # The tie rule calls three pairs of this landscape's values equal (see
+    # test_coordinate_above_zero_tol_keeps_its_points_apart).  In exact
+    # arithmetic all seven values differ, each tied pair by b_1^2 / 2, and
+    # the report lists them in exact order.
+    b = [1.0, 5e-8, 0.3]
+    inst = Instance.from_arrays(np.eye(3), b, 2)
+    rep = enumerate_stationary(inst)
+    exact = exact_table(inst.A, inst.b, inst.s)
+    values = [exact[p.point.support].value for p in rep.points]
+    gaps = [hi - lo for lo, hi in zip(values, values[1:])]
+    assert len(values) == 7 and min(gaps) > 0
+    assert sorted(gaps)[:3] == [Fraction(b[1]) ** 2 / 2] * 3
+    assert rep.hypothesis_violated

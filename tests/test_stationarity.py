@@ -93,7 +93,8 @@ class TestNd1Vectors:
 
     def test_certificate_vector_empty_at_full_support(self, saddle_instance):
         cert = classified(saddle_instance, point(saddle_instance, [1.0, 0.0])).cert
-        assert cert.nd1_vector.shape == (0,)
+        assert math.isinf(cert.nd1_min_abs)
+        assert cert.nd1_holds
 
     def test_direct_requires_stationarity(self, saddle_instance):
         with pytest.raises(NotStationaryError):
@@ -142,7 +143,6 @@ class TestCertify:
     def test_full_support_point_is_nd1_vacuous(self, instability_perturbed):
         cert = classified(instability_perturbed, point(instability_perturbed, [0.1, 0.0])).cert
         assert cert.nd1_holds
-        assert cert.nd1_vector.shape == (0,)
         assert math.isinf(cert.nd1_min_abs)
         assert cert.nd2_holds
         assert cert.nondegenerate
