@@ -39,7 +39,6 @@ from .model import (
 )
 from .stationarity import (
     CellAttachment,
-    NondegeneracyCertificate,
     PointKind,
     StationaryPoint,
     cell_attachment,
@@ -83,7 +82,6 @@ __all__ = [
     "LandscapeReport",
     "MeasurementBoundError",
     "NonFiniteDataError",
-    "NondegeneracyCertificate",
     "PointKind",
     "SparsityRangeError",
     "StabilityProbeConfig",

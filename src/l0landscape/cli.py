@@ -102,7 +102,7 @@ def _points_csv(report) -> str:
         writer.writerow(
             [i, repr(p.value), p.kind.value,
              ";".join(map(str, support_to_json(p.point.support))),
-             p.cert.nd1_holds, p.cert.nd2_holds]
+             p.nd1_holds, p.nd2_holds]
             + [repr(float(v)) for v in p.point.x]
         )
     return buf.getvalue()

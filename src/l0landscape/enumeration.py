@@ -15,8 +15,7 @@ mask per size.  ``_fixpoints`` alone selects them, in report order, for the
 enumerator and the stability probe.  ``classify`` certifies
 each point from its entry, so a point's value, ND2 verdict and report order
 all come from its one solve.  Rank-deficient solves certify a continuum of
-stationary points; the minimum-norm representative is kept and reported as
-degenerate.
+stationary points; ``classify`` makes the point each one chases to degenerate.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -105,9 +104,9 @@ def _point_to_dict(p: StationaryPoint) -> dict:
         "support": support_to_json(p.point.support),
         "kind": p.kind.value,
         "value": p.value,
-        "nd1": p.cert.nd1_holds,
-        "nd2": p.cert.nd2_holds,
-        "nd1_near_degenerate": p.cert.nd1_near_degenerate,
+        "nd1": p.nd1_holds,
+        "nd2": p.nd2_holds,
+        "nd1_near_degenerate": p.nd1_near_degenerate,
     }
 
 
@@ -180,9 +179,9 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
     """Enumerate and classify every M-stationary point.
 
     The points are the table's fixpoints in the order of ``_fixpoints``.  Each
-    is classified from its table entry: ND2 is the support's rank verdict, and
-    the stationarity residual is reported, not gated, so the enumeration never
-    raises on its own solves.
+    is classified from its table entry and whether a continuum passes through
+    it.  The stationarity residual is reported, not gated, so the enumeration
+    never raises on its own solves.
     """
     validate_instance(inst)
     table = support_min_table(inst)
@@ -198,14 +197,9 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
                 sub = table[support_of(sub.argmin, inst.tol.zero_tol)]
             deficient.add(sub.support)
 
-    points: list[StationaryPoint] = []
-    for sub in _fixpoints(table.values()):
-        sp = classify(inst, sub)
-        if sub.support in deficient and sp.kind is not PointKind.DEGENERATE:
-            sp = replace(sp, kind=PointKind.DEGENERATE)
-        points.append(sp)
+    points = [classify(inst, sub, sub.support in deficient)
+              for sub in _fixpoints(table.values())]
 
-    continuum = bool(deficient)
     r = sum(p.kind is PointKind.LOCAL_MINIMIZER for p in points)
     r1 = sum(p.kind is PointKind.SADDLE_POINT for p in points)
     lower = sum(p.kind is PointKind.LOWER_ORDER for p in points)
@@ -226,8 +220,8 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
         morse_lhs=lhs,
         morse_rhs=rhs,
         morse_holds=lhs >= rhs,
-        continuum_detected=continuum,
-        hypothesis_violated=(not s_regular) or continuum or degen > 0 or ties,
+        continuum_detected=bool(deficient),
+        hypothesis_violated=(not s_regular) or degen > 0 or ties,
         table=table,
     )
 
@@ -261,7 +255,7 @@ def run_genericity_experiment(
         b = rng.standard_normal(m)
         inst = Instance.from_arrays(A, b, s, tol)
         rep = enumerate_stationary(inst)
-        all_nondeg = rep.degenerate == 0 and not rep.continuum_detected
+        all_nondeg = rep.degenerate == 0
         active = not any(
             p.kind is PointKind.DEGENERATE and len(p.point.support) == s for p in rep.points
         )

@@ -46,16 +46,13 @@ class Transition:
 
 
 @dataclass
-class TransitionAudit:
+class SweepResult:
+    """Interval counts and the transition audit, empty unless ``applicable``."""
+
+    intervals: list[SweepInterval]
     applicable: bool
     transitions: list[Transition]
     all_admissible: bool | None
-
-
-@dataclass
-class SweepResult:
-    intervals: list[SweepInterval]
-    audit: TransitionAudit
 
     def to_dict(self) -> dict:
         return {
@@ -69,9 +66,9 @@ class SweepResult:
                     "delta": t.delta,
                     "admissible": t.admissible,
                 }
-                for t in self.audit.transitions
+                for t in self.transitions
             ],
-            "applicable": self.audit.applicable,
+            "applicable": self.applicable,
         }
 
 
@@ -165,15 +162,12 @@ def sweep_levels(inst: Instance, report: LandscapeReport) -> SweepResult:
     """Component counts between stationary values plus the transition audit.
 
     The counts are read from ``report.table``, so ``report`` must be the
-    enumeration of ``inst``, whose report order lists its points by value.
-    The audit is flagged not applicable when the report contains degenerate
-    points or a continuum certificate; the interval counts are still emitted.
+    enumeration of ``inst``, whose report order lists its points by value
+    (the empty support is always one).  The audit is not applicable when the
+    report has a degenerate point; the interval counts are still emitted.
     """
     validate_instance(inst)
     groups = _group_values(report.points)
-    if not groups:
-        return SweepResult(intervals=[], audit=TransitionAudit(True, [], True))
-
     bounds = [groups[0][0] - 1.0] + [v for v, _ in groups] + [groups[-1][0] + 1.0]
     midpoints = [0.5 * (lo + hi) for lo, hi in zip(bounds, bounds[1:])]
     counts = _level_counts(inst, report.table, midpoints)
@@ -181,9 +175,9 @@ def sweep_levels(inst: Instance, report: LandscapeReport) -> SweepResult:
         SweepInterval(lo=lo, hi=hi, q=q) for (lo, hi), q in zip(zip(bounds, bounds[1:]), counts)
     ]
 
-    applicable = report.degenerate == 0 and not report.continuum_detected
+    applicable = report.degenerate == 0
     if not applicable:
-        return SweepResult(intervals=intervals, audit=TransitionAudit(False, [], None))
+        return SweepResult(intervals, applicable, [], None)
 
     transitions: list[Transition] = []
     for i, (value, members) in enumerate(groups):
@@ -199,11 +193,4 @@ def sweep_levels(inst: Instance, report: LandscapeReport) -> SweepResult:
                 admissible=lo <= delta <= hi,
             )
         )
-    return SweepResult(
-        intervals=intervals,
-        audit=TransitionAudit(
-            applicable=True,
-            transitions=transitions,
-            all_admissible=all(t.admissible for t in transitions),
-        ),
-    )
+    return SweepResult(intervals, applicable, transitions, all(t.admissible for t in transitions))

@@ -151,7 +151,8 @@ def validate_instance(inst: Instance) -> None:
     # at most ||A||_F ||b||, so these bounds keep all reported numbers finite.
     # inf * 0 is nan, so the product is finite only when both factors are.
     with np.errstate(over="ignore"):
-        a2, b2 = float(np.vdot(A, A)), float(b @ b)
+        col2 = np.einsum("ij,ij->j", A, A)  # squared column norms
+        a2, b2 = float(col2.sum()), float(b @ b)
     if not math.isfinite(a2 * b2):
         raise NonFiniteDataError("||A||_F^2 * ||b||^2 overflows float64; rescale the data")
     # Below the smallest normal number, nonzero data loses its precision and
@@ -160,6 +161,11 @@ def validate_instance(inst: Instance) -> None:
         raise NonFiniteDataError("||A||_F^2 underflows float64; rescale the data")
     if b2 < _TINY and b.any():
         raise NonFiniteDataError("||b||^2 underflows float64; rescale the data")
+    # A nonzero column below that limit would have a coefficient that overflows.
+    for j in np.flatnonzero(col2 < _TINY):
+        if A[:, j].any():
+            raise NonFiniteDataError(
+                f"the squared norm of column {j + 1} of A underflows float64; rescale the data")
     if not isinstance(s, (int, np.integer)) or not 0 <= s <= n - 1:
         raise SparsityRangeError(f"s must lie in {{0, ..., n-1}} = {{0, ..., {n - 1}}}, got {s}")
     if s > m:
@@ -199,12 +205,17 @@ def _tolerances_from_mapping(raw) -> ToleranceConfig:
 
 
 def _check_numbers(key: str, value) -> None:
-    """Reject any entry of a nested list that is not a JSON number."""
-    if isinstance(value, list):
-        for entry in value:
-            _check_numbers(key, entry)
-    elif type(value) not in (int, float):  # bool is a subclass of int
-        raise InstanceFormatError(f"'{key}' entries must be numbers, got {value!r}")
+    """Reject any entry of a nested list that is not a JSON number, first one first.
+
+    Walks an explicit stack, so no nesting depth exhausts the call stack.
+    """
+    stack = [value]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):
+            stack.extend(reversed(entry))
+        elif type(entry) not in (int, float):  # bool is a subclass of int
+            raise InstanceFormatError(f"'{key}' entries must be numbers, got {entry!r}")
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -242,6 +253,8 @@ def parse_instance_json(text: str) -> Instance:
         raise InstanceFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InstanceFormatError(f"JSON nested too deeply: {exc}") from exc
     return instance_from_dict(data)
 
 
@@ -258,6 +271,8 @@ def parse_instance_csv(text: str) -> Instance:
         m, n, s = (int(cell) for cell in header)
     except ValueError as exc:
         raise InstanceFormatError(f"line {header_line}: header must be integers: {exc}") from exc
+    if m < 0 or n < 0:
+        raise InstanceFormatError(f"line {header_line}: m and n must be nonnegative")
     body = numbered[1:]
     if len(body) != m + 1:
         raise InstanceFormatError(
@@ -281,8 +296,11 @@ def parse_instance_csv(text: str) -> Instance:
 
 def load_instance(path) -> Instance:
     """Read an instance file, sniffing JSON ('{' first) versus CSV."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"instance file is not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
         return parse_instance_json(text)
     return parse_instance_csv(text)

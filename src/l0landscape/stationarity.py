@@ -11,14 +11,15 @@ ND2
 
 Nondegenerate points are classified by their sparsity level: full support
 means local minimizer, support size ``s - 1`` means saddle point, anything
-smaller is a lower-order stationary point.  Points failing ND1 or ND2 are
-reported as degenerate without attempting a minimizer/saddle label.
+smaller is a lower-order stationary point.  Points failing ND1 or ND2, or on
+a continuum of stationary points, are degenerate, with no minimizer/saddle
+label; a point's ``kind`` is its one degeneracy verdict.
 
 The points classified here are least-squares solves of their supports, so
 they are M-stationary by construction.  :func:`classify` reads everything
 but the gradient from the point's support-table entry, a
 :class:`SupportSubspace`: the point, its value and the rank verdict that
-decides ND2.  The gradient comes from :func:`gradient`; the certificate keeps
+decides ND2.  The gradient comes from :func:`gradient`; the point keeps
 only its ND1 margin, and the stationarity residual is reported but never
 gated on.
 """
@@ -54,34 +55,24 @@ class SupportSubspace:
 
 
 @dataclass(frozen=True, eq=False)
-class NondegeneracyCertificate:
-    """Outcome of the ND1/ND2 checks at one M-stationary point.
+class StationaryPoint:
+    """An M-stationary point with its ND1/ND2 results and its one verdict, ``kind``.
 
     ``nd1_min_abs`` is the smallest gradient magnitude on the off-support
     indices, the ND1 margin; it is infinite when the sparsity constraint is
     active, in which case ND1 holds vacuously.  ``nd1_near_degenerate`` warns
     that it fell into ``(0, stat_tol]``: ND1 is reported as failed, but the
-    failure is within numerical noise of a pass.
+    failure is within numerical noise of a pass.  ``kind`` is degenerate on a
+    continuum even when both checks hold.
     """
-
-    nd1_holds: bool
-    nd1_min_abs: float
-    nd1_near_degenerate: bool
-    nd2_holds: bool
-
-    @property
-    def nondegenerate(self) -> bool:
-        return self.nd1_holds and self.nd2_holds
-
-
-@dataclass(frozen=True, eq=False)
-class StationaryPoint:
-    """An M-stationary point with its certificate and classification."""
 
     point: FeasiblePoint
     value: float
     stationarity_residual: float
-    cert: NondegeneracyCertificate
+    nd1_holds: bool
+    nd1_min_abs: float
+    nd1_near_degenerate: bool
+    nd2_holds: bool
     kind: PointKind
 
 
@@ -112,7 +103,7 @@ def stationarity_residual(inst: Instance, point: FeasiblePoint) -> float:
     return _max_on_support(inst, point, gradient(inst, point.x))
 
 
-def classify(inst: Instance, sub: SupportSubspace) -> StationaryPoint:
+def classify(inst: Instance, sub: SupportSubspace, on_continuum: bool) -> StationaryPoint:
     """Certify and classify the point of a support-table entry.
 
     ``sub`` is a fixpoint of the table, so its argmin is the point and its
@@ -120,8 +111,9 @@ def classify(inst: Instance, sub: SupportSubspace) -> StationaryPoint:
     a strict threshold: entries must exceed ``stat_tol`` in absolute value.
     A smallest magnitude in ``(0, stat_tol]`` is a failure with the
     near-degenerate warning set, since floating point cannot certify exact
-    nonvanishing.  The stationarity residual is reported, never checked
-    against a tolerance.
+    nonvanishing.  The point is degenerate when ND1 or ND2 fails or when
+    ``on_continuum``, a continuum of stationary points passing through it.
+    The stationarity residual is reported, never gated on.
     """
     point = FeasiblePoint(sub.argmin, sub.support)
     g = gradient(inst, sub.argmin)
@@ -130,13 +122,7 @@ def classify(inst: Instance, sub: SupportSubspace) -> StationaryPoint:
     vec = np.zeros(0) if k == inst.s else np.delete(g, sub.support)
     min_abs = float(np.min(np.abs(vec), initial=math.inf))
     nd1 = min_abs > inst.tol.stat_tol
-    cert = NondegeneracyCertificate(
-        nd1_holds=nd1,
-        nd1_min_abs=min_abs,
-        nd1_near_degenerate=(not nd1) and min_abs > 0.0,
-        nd2_holds=sub.full_rank,
-    )
-    if not cert.nondegenerate:
+    if on_continuum or not (nd1 and sub.full_rank):
         kind = PointKind.DEGENERATE
     elif k == inst.s:
         kind = PointKind.LOCAL_MINIMIZER
@@ -148,7 +134,10 @@ def classify(inst: Instance, sub: SupportSubspace) -> StationaryPoint:
         point=point,
         value=sub.min_value,
         stationarity_residual=resid,
-        cert=cert,
+        nd1_holds=nd1,
+        nd1_min_abs=min_abs,
+        nd1_near_degenerate=(not nd1) and min_abs > 0.0,
+        nd2_holds=sub.full_rank,
         kind=kind,
     )
 

@@ -309,7 +309,7 @@ def kinds_by_chasing_every_entry(inst: Instance) -> tuple[set, bool]:
         finals[U] = finals.get(U, False) or not sub.full_rank
     kinds = set()
     for U, deficient in finals.items():
-        kind = classify(inst, table[U]).kind
+        kind = classify(inst, table[U], False).kind
         kinds.add((U, PointKind.DEGENERATE if deficient else kind))
     return kinds, any(finals.values())
 
@@ -319,8 +319,9 @@ class ExactSupport:
     """Exact facts about the least-squares problem of one support ``S``.
 
     ``gram_det`` is ``det(A_S^T A_S)`` and ``frobenius_sq`` is
-    ``||A_S||_F^2``.  Under full column rank, ``coefficients`` is the unique
-    solve on ``S``, ``value`` its objective and ``off_gradient`` the gradient
+    ``||A_S||_F^2``.  ``min_norm`` is the minimum-norm solve on ``S``, for
+    every support.  Under full column rank, ``coefficients`` is that solve,
+    then unique, ``value`` its objective and ``off_gradient`` the gradient
     entries off ``S`` in increasing index order; otherwise all three are
     ``None``.
     """
@@ -328,17 +329,29 @@ class ExactSupport:
     rank: int
     gram_det: Fraction
     frobenius_sq: Fraction
+    min_norm: tuple[Fraction, ...]
     coefficients: tuple[Fraction, ...] | None
     value: Fraction | None
     off_gradient: tuple[Fraction, ...] | None
 
 
+def _dot(u, w) -> Fraction:
+    return sum((a * b for a, b in zip(u, w)), Fraction(0))
+
+
 def _eliminate(G: list[list[Fraction]], c: list[Fraction]):
-    """Rank, determinant and (under full rank) solution of ``G z = c`` by exact elimination."""
+    """Rank, determinant and minimum-norm solution of the consistent ``G z = c``, exactly.
+
+    Gauss-Jordan elimination gives the reduced row echelon form.  Setting the
+    free variables to 0 gives a particular solution; each free variable also
+    gives one null-space vector, and subtracting the particular solution's
+    projection onto their span leaves the minimum-norm solution.
+    """
     k = len(G)
     M = [row[:] + [ci] for row, ci in zip(G, c)]
-    det, rank = Fraction(1), 0
+    det, pivots = Fraction(1), []
     for col in range(k):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, k) if M[r][col] != 0), None)
         if pivot is None:
             det = Fraction(0)
@@ -351,10 +364,22 @@ def _eliminate(G: list[list[Fraction]], c: list[Fraction]):
             if r != rank and M[r][col] != 0:
                 f = M[r][col] / M[rank][col]
                 M[r] = [a - f * p for a, p in zip(M[r], M[rank])]
-        rank += 1
-    if rank < k:
-        return rank, det, None
-    return rank, det, tuple(M[i][k] / M[i][i] for i in range(k))
+        pivots.append(col)
+    z = [Fraction(0)] * k
+    for r, col in enumerate(pivots):
+        z[col] = M[r][k] / M[r][col]
+    free = [col for col in range(k) if col not in pivots]
+    if free:
+        N = []
+        for f in free:
+            v = [Fraction(0)] * k
+            v[f] = Fraction(1)
+            for r, col in enumerate(pivots):
+                v[col] = -M[r][f] / M[r][col]
+            N.append(v)
+        _, _, y = _eliminate([[_dot(u, w) for w in N] for u in N], [_dot(u, z) for u in N])
+        z = [zi - sum((yj * v[i] for yj, v in zip(y, N)), Fraction(0)) for i, zi in enumerate(z)]
+    return len(pivots), det, tuple(z)
 
 
 def exact_table(A, b, s: int) -> dict[tuple[int, ...], ExactSupport]:
@@ -365,7 +390,9 @@ def exact_table(A, b, s: int) -> dict[tuple[int, ...], ExactSupport]:
     :class:`fractions.Fraction` without rounding; the rank of ``A_S`` is that
     of its Gram matrix.  At the solve, the value is
     ``(||b||^2 - (A_S^T b)^T z) / 2`` and the gradient is
-    ``A^T A x - A^T b``.  Meant for ``n <= 7`` and ``s <= 3``.
+    ``A^T A x - A^T b``.  A rank-deficient support gets the minimum-norm
+    solve of its normal equations, whose null space is that of ``A_S``.
+    Meant for ``n <= 7`` and ``s <= 3``.
     """
     A = np.asarray(A, dtype=float)
     m, n = A.shape
@@ -383,10 +410,11 @@ def exact_table(A, b, s: int) -> dict[tuple[int, ...], ExactSupport]:
             G = [[gram[i][j] for j in S] for i in S]
             rank, det, z = _eliminate(G, [atb[i] for i in S])
             fro = sum((gram[i][i] for i in S), Fraction(0))
-            value = off = None
-            if z is not None:
+            coefficients = value = off = None
+            if rank == k:
+                coefficients = z
                 value = (btb - sum((atb[i] * zi for i, zi in zip(S, z)), Fraction(0))) / 2
                 off = tuple(sum((gram[j][i] * zi for i, zi in zip(S, z)), Fraction(0)) - atb[j]
                             for j in range(n) if j not in S)
-            table[S] = ExactSupport(rank, det, fro, z, value, off)
+            table[S] = ExactSupport(rank, det, fro, z, coefficients, value, off)
     return table

@@ -13,7 +13,7 @@ of the program, then shows every report that changed.
 The instances are seeded Gaussian data and its zero-column and
 duplicate-column variants at three shapes and three seeds, plus a few small
 hand-written files for the tolerance flags, a continuum, a coefficient at
-``zero_tol`` and the error paths.  They are
+``zero_tol`` and the error paths, malformed files among them.  They are
 written to a scratch directory that is the working directory while the
 commands run, and named by relative path, so no recorded byte depends on
 where the corpus ran.
@@ -55,7 +55,10 @@ def _instance(shape, variant, seed) -> dict:
 
 def _write(path: str, payload) -> str:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    if isinstance(payload, bytes):
+        Path(path).write_bytes(payload)
+    else:
+        Path(path).write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return path
 
 
@@ -145,6 +148,11 @@ def _commands() -> list[list[str]]:
         ["probe", "--instance", saddle],
         ["analyze", "--instance", saddle, "--out", "missing/dir/report.json"],
         ["analyze", "--instance", saddle, "--out", "inst"],
+        # Malformed files that once ended in an internal error.
+        ["analyze", "--instance", _write("inst/not-utf8.json", b'\xff\xfe{"m":1}')],
+        ["analyze", "--instance", _write("inst/negative-m.csv", "-1,2,1\n")],
+        ["analyze", "--instance", _write("inst/deep.json", '{"m": 1, "n": 1, "s": 0, "b": [1], '
+                                         '"A": ' + "[" * 10000 + "]" * 10000 + "}")],
     ]
     return commands
 

@@ -59,7 +59,7 @@ def test_criterion_01_zero_measurement_landscape():
         len(rep.points) == 1
         and origin is not None
         and origin.kind is PointKind.DEGENERATE
-        and not origin.cert.nd1_holds
+        and not origin.nd1_holds
         and elapsed < 0.1
     )
     _report(1, "single degenerate point for zero measurements", ok,
@@ -75,11 +75,11 @@ def test_criterion_02_perturbed_landscape():
     ok = (
         len(rep.points) == 3
         and min_a is not None and min_a.kind is PointKind.LOCAL_MINIMIZER
-        and min_a.cert.nondegenerate
+        and min_a.nd1_holds and min_a.nd2_holds
         and min_b is not None and min_b.kind is PointKind.LOCAL_MINIMIZER
-        and min_b.cert.nondegenerate
+        and min_b.nd1_holds and min_b.nd2_holds
         and saddle is not None and saddle.kind is PointKind.SADDLE_POINT
-        and saddle.cert.nondegenerate
+        and saddle.nd1_holds and saddle.nd2_holds
         and rep.r == 2 and rep.r1 == 1
     )
     _report(2, "two minimizers plus a saddle after perturbation", ok)
@@ -107,7 +107,7 @@ def test_criterion_04_one_sided_measurements():
         len(rep.points) == 2
         and minimizer is not None
         and minimizer.kind is PointKind.LOCAL_MINIMIZER
-        and minimizer.cert.nondegenerate
+        and minimizer.nd1_holds and minimizer.nd2_holds
         and origin is not None
         and origin.kind is PointKind.DEGENERATE
     )
@@ -220,10 +220,10 @@ def test_criterion_08_sweep_transition_audit():
             continue
         checked += 1
         sweep = sweep_levels(inst, rep)
-        if not sweep.audit.applicable:
+        if not sweep.applicable:
             bad += 1
             continue
-        for t in sweep.audit.transitions:
+        for t in sweep.transitions:
             kind = t.kinds[0]
             assert len(t.kinds) == 1  # distinct values after the filter
             if kind is PointKind.LOCAL_MINIMIZER and t.delta != 1:

@@ -232,6 +232,22 @@ class TestErrorPaths:
         assert (rc, out) == (2, "")
         assert err == "error: ||A||_F^2 underflows float64; rescale the data\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "probe"])
+    @pytest.mark.parametrize("entry", [5e-324, 1e-300])
+    def test_column_that_underflows_exits_2(self, capsys, tmp_path, command, entry):
+        # Found by tests/input_sweep.py: a column with one tiny entry gave a
+        # coefficient near 1/entry, an infinite value (exit 1) or an overflow
+        # inside probe.
+        path = tmp_path / "tiny-column.json"
+        path.write_text(json.dumps({"m": 2, "n": 3, "s": 1, "b": [1.0, 2.0],
+                                    "A": [[1.0, entry, 0.5], [0.0, 0.0, 1.0]]}))
+        argv = [command, "--instance", str(path)] + (["--seed", "0", "--trials", "2"]
+                                                     if command == "probe" else [])
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err == ("error: the squared norm of column 2 of A underflows float64; "
+                       "rescale the data\n")
+
     @pytest.mark.parametrize("target", ["missing/dir/report.json", "."], ids=["missing", "dir"])
     def test_unwritable_out_path_exits_2(self, capsys, tmp_path, saddle_file, target):
         rc, out, err = run_cli(capsys, ["analyze", "--instance", saddle_file,
@@ -291,6 +307,40 @@ class TestErrorPaths:
         assert rc == 1
         assert out == ""
         assert "internal error" in err
+
+
+_GENERIC = ["generic", "--m", "3", "--n", "5", "--s", "2"]
+_EYE = '"m": 2, "n": 2, "s": 1, "A": [[1.0, 0.0], [0.0, 1.0]]'
+
+
+@pytest.mark.parametrize("argv, file_text, message", [
+    (_GENERIC + ["--seed", "0", "--trials", "-1"], None, "trials must be nonnegative, got -1"),
+    (_GENERIC + ["--seed", "-1"], None, "seed must be nonnegative, got -1"),
+    (["probe", "--seed", "-1"], "{%s, \"b\": [1.0, 1.0]}" % _EYE,
+     "seed must be nonnegative, got -1"),
+    (["analyze"], "{%s}" % _EYE, "missing required field(s): b"),
+    (["analyze"], "{%s, \"b\": [1.0, 1.0], \"tolerances\": [1]}" % _EYE,
+     "'tolerances' must be an object"),
+    (["analyze"], "{%s, \"b\": [1.0, 1.0, 1.0]}" % _EYE, "b has shape (3,), expected (2,)"),
+    (["analyze"], "{%s, \"b\": [NaN, 1.0]}" % _EYE, "b contains non-finite entries"),
+    (["analyze"], "", "line 1: empty instance file"),
+    (["analyze"], "2,2\n1,0\n0,1\n1,1\n", "line 1: header must be 'm,n,s'"),
+    (["analyze"], "2,x,1\n1,0\n0,1\n1,1\n", "line 1: header must be integers"),
+    (["analyze"], "2,2,1\n1,0\n1,1\n",
+     "line 1: expected 2 rows of A plus one row b, found 2 data rows"),
+    (["analyze"], "2,2,1\n1,0\n0,1,3\n1,1\n", "line 3: expected 2 values, found 3"),
+], ids=["generic-trials", "generic-seed", "probe-seed", "json-missing-b", "json-tolerances-list",
+        "json-b-length", "json-b-nan", "csv-empty", "csv-header-cells", "csv-header-integer",
+        "csv-row-count", "csv-row-width"])
+def test_input_check_exits_2(capsys, tmp_path, argv, file_text, message):
+    if file_text is not None:
+        path = tmp_path / ("inst.json" if file_text.startswith("{") else "inst.csv")
+        path.write_text(file_text)
+        argv = argv + ["--instance", str(path)]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
 
 
 class TestOtherCommands:

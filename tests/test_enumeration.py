@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from l0landscape import (
     Instance,
     PointKind,
     ToleranceConfig,
+    ValidationError,
     check_s_regularity,
     enumerate_stationary,
     enumerate_supports,
@@ -26,6 +28,15 @@ from l0landscape import enumeration, levelsets
 from _oracles import LANDSCAPES, is_m_stationary, kinds_by_chasing_every_entry, landscape_instance
 
 TOL = 1e-10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(enumerate_supports(3, 4)), "need 0 <= s <= n, got n=3, s=4"),
+    (lambda: check_s_regularity(np.ones((2, 3)), 3, TOL), "need 0 <= s <= min(m, n), got s=3"),
+], ids=["enumerate_supports", "check_s_regularity"])
+def test_input_check_raises(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 class TestEnumerateSupports:
@@ -92,7 +103,7 @@ class TestEnumerateStationary:
         p = rep.points[0]
         np.testing.assert_allclose(p.point.x, [0.0, 0.0], atol=1e-10)
         assert p.kind is PointKind.DEGENERATE
-        assert not p.cert.nd1_holds
+        assert not p.nd1_holds
 
     def test_perturbed_instance_has_two_minimizers_and_saddle(self, instability_perturbed):
         rep = enumerate_stationary(instability_perturbed)
@@ -214,7 +225,7 @@ class TestEnumerateStationary:
                                     [1.5e-8, 1.0, 0.0], 2)
         rep = enumerate_stationary(inst)
         origin = [p for p in rep.points if p.point.support == ()]
-        assert origin and origin[0].cert.nondegenerate
+        assert origin and origin[0].nd1_holds and origin[0].nd2_holds
         assert origin[0].kind is PointKind.DEGENERATE
         self._assert_kinds_match_every_entry_chase(inst, rep)
 
@@ -384,12 +395,12 @@ class TestStackedTable:
             assert p.value == objective(inst, p.point.x)
             off = gradient(inst, p.point.x)[[i for i in range(inst.n) if i not in U]]
             if len(U) == inst.s:
-                assert p.cert.nd1_min_abs == np.inf
+                assert p.nd1_min_abs == np.inf
             else:
                 min_abs = float(np.min(np.abs(off), initial=np.inf))
-                assert p.cert.nd1_min_abs == min_abs
-                assert p.cert.nd1_holds == (min_abs > inst.tol.stat_tol)
-                assert p.cert.nd1_near_degenerate == (0.0 < min_abs <= inst.tol.stat_tol)
+                assert p.nd1_min_abs == min_abs
+                assert p.nd1_holds == (min_abs > inst.tol.stat_tol)
+                assert p.nd1_near_degenerate == (0.0 < min_abs <= inst.tol.stat_tol)
 
 
 class TestSRegularity:
@@ -421,6 +432,34 @@ class TestSRegularity:
         )
         assert ok == oracle is True
         assert witness is None
+
+
+class TestVerdictInvariants:
+    """What lets the report verdicts read the kinds alone, and the sweep skip an empty report.
+
+    A continuum marks the point it chases to degenerate; a size-s support
+    short of full rank is a rank-deficient entry, hence a continuum; and the
+    empty support's solve has no coefficient to fail ``zero_tol``.
+    """
+
+    @staticmethod
+    def _assert_invariants(inst):
+        rep = enumerate_stationary(inst)
+        assert not rep.continuum_detected or rep.degenerate > 0
+        assert rep.s_regular or rep.continuum_detected
+        assert () in {p.point.support for p in rep.points}
+        assert rep.hypothesis_violated or not rep.continuum_detected
+
+    @pytest.mark.parametrize("scale", [2.0**-20, 1.0, 1e6])
+    @pytest.mark.parametrize("shape, variant, seed", LANDSCAPES)
+    def test_on_generic_and_degenerate_families(self, shape, variant, seed, scale):
+        inst = landscape_instance(shape, variant, seed)
+        self._assert_invariants(Instance.from_arrays(scale * inst.A, scale * inst.b, inst.s))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 0), (1, 2, 1), (3, 5, 2), (5, 7, 3)])
+    def test_on_all_zero_data(self, shape):
+        m, n, s = shape
+        self._assert_invariants(Instance.from_arrays(np.zeros((m, n)), np.zeros(m), s))
 
 
 class TestGenericityExperiment:

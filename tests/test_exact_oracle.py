@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from l0landscape import Instance, enumerate_stationary
+from l0landscape import Instance, PointKind, enumerate_stationary, support_of
 from l0landscape.enumeration import VALUE_TIE_REL
 
 from _oracles import exact_table, landscape_instance
@@ -65,6 +65,18 @@ class TestExactTable:
         assert (exact[(2,)].rank, exact[(2,)].value) == (0, None)
         assert exact[(0, 2)].rank == 1
 
+    def test_rank_deficient_supports_get_the_minimum_norm_solve(self):
+        exact = exact_table([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], [1.0, 0.0], 2)
+        assert exact[(0, 1)].min_norm == (Fraction(1, 10), Fraction(1, 10))
+        assert exact[(2,)].min_norm == (0,)
+        assert exact[(0, 2)].min_norm == (Fraction(1, 5), 0)
+        assert exact[(0,)].min_norm == exact[(0,)].coefficients == (Fraction(1, 5),)
+
+    def test_minimum_norm_solve_projects_out_a_two_dimensional_null_space(self):
+        exact = exact_table([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], [14.0, 1.0], 3)
+        assert exact[(0, 1, 2)].rank == 1
+        assert exact[(0, 1, 2)].min_norm == (1, 2, 3)
+
     def test_data_are_read_as_exact_binary64(self):
         exact = exact_table([[1.0]], [0.1], 1)
         assert exact[(0,)].coefficients == (Fraction(0.1),)
@@ -98,11 +110,11 @@ def test_table_and_points_agree_with_exact_arithmetic(shape, variant, seed):
         pinned["fixpoint"] += 1
         if not fixpoint:
             continue
-        cert = points[S].cert
+        sp = points[S]
         if len(S) == inst.s:
-            assert cert.nd1_holds and cert.nd1_min_abs == math.inf
+            assert sp.nd1_holds and sp.nd1_min_abs == math.inf
         elif (nd1 := _clear(min(map(abs, ex.off_gradient)), tol.stat_tol)) is not None:
-            assert cert.nd1_holds == nd1, S
+            assert sp.nd1_holds == nd1, S
             pinned["nd1"] += 1
     ordered = [p.point.support for p in rep.points if p.point.support in certified]
     for S, T in itertools.combinations(ordered, 2):
@@ -111,6 +123,31 @@ def test_table_and_points_agree_with_exact_arithmetic(shape, variant, seed):
             assert a < b, (S, T)
             pinned["order"] += 1
     assert min(pinned[key] for key in ("full_rank", "fixpoint", "nd1", "order")) > 0, pinned
+
+
+@pytest.mark.parametrize("shape,variant,seed",
+                         [case for case in CASES if case[1] != "generic"])
+def test_chase_from_rank_deficient_support_ends_on_its_exact_solve(shape, variant, seed):
+    # In exact arithmetic the minimum-norm solve on a rank-deficient S, with
+    # support V, is also V's own solve, so the chase from S ends on V in one
+    # step, and the continuum through that point makes it degenerate.
+    inst = landscape_instance(shape, variant, seed)
+    zero_tol = inst.tol.zero_tol
+    rep = enumerate_stationary(inst)
+    points = {p.point.support: p for p in rep.points}
+    pinned = 0
+    for S, ex in exact_table(inst.A, inst.b, inst.s).items():
+        if ex.rank == len(S):
+            continue
+        nonzero = [False if c == 0 else _clear(abs(c), zero_tol) for c in ex.min_norm]
+        if None in nonzero:
+            continue
+        V = tuple(i for i, keep in zip(S, nonzero) if keep)
+        assert support_of(rep.table[S].argmin, zero_tol) == V, S
+        assert rep.table[V].fixpoint, (S, V)
+        assert points[V].kind is PointKind.DEGENERATE, (S, V)
+        pinned += 1
+    assert pinned > 0
 
 
 def test_identity_case_has_distinct_exact_values():

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from l0landscape import (
+    DimensionMismatchError,
     Instance,
+    NonFiniteDataError,
     PointKind,
     enumerate_stationary,
     hard_threshold,
@@ -11,6 +15,15 @@ from l0landscape import (
 )
 
 from _oracles import is_m_stationary, random_instance
+
+
+@pytest.mark.parametrize("x0, error, message", [
+    ([0.0, 0.0, 0.0], DimensionMismatchError, "x0 must have length 2, got shape (3,)"),
+    ([0.0, np.nan], NonFiniteDataError, "x0 contains non-finite entries"),
+], ids=["length", "non-finite"])
+def test_input_check_raises(saddle_instance, x0, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        iht_solve(saddle_instance, x0)
 
 
 class TestHardThreshold:

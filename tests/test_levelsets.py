@@ -124,14 +124,14 @@ class TestSweep:
         rep = enumerate_stationary(saddle_instance)
         sweep = sweep_levels(saddle_instance, rep)
         assert [iv.q for iv in sweep.intervals] == [0, 2, 1]
-        assert sweep.audit.applicable
-        deltas = [(t.value, t.delta, t.admissible) for t in sweep.audit.transitions]
+        assert sweep.applicable
+        deltas = [(t.value, t.delta, t.admissible) for t in sweep.transitions]
         assert deltas == [(0.5, 2, True), (1.0, -1, True)]
         # the tied pair of minimizers is audited jointly
-        tied = sweep.audit.transitions[0]
+        tied = sweep.transitions[0]
         assert [k.value for k in tied.kinds] == ["LocalMinimizer", "LocalMinimizer"]
         assert (tied.admissible_lo, tied.admissible_hi) == (2, 2)
-        assert sweep.audit.all_admissible
+        assert sweep.all_admissible
 
     def test_perturbed_instance_structure(self, instability_perturbed):
         rep = enumerate_stationary(instability_perturbed)
@@ -143,8 +143,8 @@ class TestSweep:
     def test_not_applicable_with_degenerate_points(self, instability_original):
         rep = enumerate_stationary(instability_original)
         sweep = sweep_levels(instability_original, rep)
-        assert not sweep.audit.applicable
-        assert sweep.audit.transitions == []
+        assert not sweep.applicable
+        assert sweep.transitions == []
         assert [iv.q for iv in sweep.intervals]  # interval counts still emitted
 
     def test_constant_within_intervals(self):
@@ -182,8 +182,8 @@ class TestSweep:
         if rep.hypothesis_violated:
             pytest.skip("tied or degenerate landscape")
         sweep = sweep_levels(inst, rep)
-        assert sweep.audit.applicable
-        for t in sweep.audit.transitions:
+        assert sweep.applicable
+        for t in sweep.transitions:
             if all(k is PointKind.SADDLE_POINT for k in t.kinds):
                 assert -len(t.kinds) <= t.delta <= 0
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ def solve_one(A, b, rank_tol=TOL):
     A = np.asarray(A, dtype=float)
     z = solve_normal_equations(A[np.newaxis], b, rank_tol)[0]
     return z, numerical_rank(A, rank_tol) == A.shape[1]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: numerical_rank(np.eye(2), -1.0), ValueError, "rank_tol must be nonnegative, got -1.0"),
+    (lambda: largest_eigenvalue_gram(np.zeros((0, 2))), DimensionMismatchError,
+     "matrix must have at least one row and one column"),
+], ids=["numerical_rank", "largest_eigenvalue_gram"])
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestNumericalRank:

@@ -12,6 +12,8 @@ from l0landscape import (
     MeasurementBoundError,
     NonFiniteDataError,
     SparsityRangeError,
+    ToleranceConfig,
+    ToleranceError,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -96,7 +98,8 @@ class TestValidateInstance:
     @pytest.mark.parametrize("A, b, name", [
         ([[1e-160, 0.0], [0.0, 0.0]], [1.0, 0.0], "||A||_F^2"),
         (np.eye(2), [1e-160, 1e-160], "||b||^2"),
-    ], ids=["A", "b"])
+        ([[1.0, 5e-324], [0.0, 0.0]], [1.0, 0.0], "the squared norm of column 2 of A"),
+    ], ids=["A", "b", "column"])
     def test_underflowing_norms_rejected(self, A, b, name):
         with pytest.raises(NonFiniteDataError, match=re.escape(f"{name} underflows float64")):
             validate_instance(Instance.from_arrays(A, b, 1))
@@ -122,6 +125,26 @@ class TestFeasiblePoint:
         fp = FeasiblePoint.from_vector([0.0, 2.0, 1e-12], 1e-9)
         assert fp.support == (1,)
         assert fp.sparsity == 1
+
+
+_TOL = ToleranceConfig(rank_tol=1e-10)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Instance.from_arrays(np.ones(3), np.ones(3), 1), DimensionMismatchError,
+     "A must be 2-dimensional, got ndim=1"),
+    (lambda: validate_instance(Instance(np.ones(3), np.ones(3), 1, _TOL)), DimensionMismatchError,
+     "A must be 2-dimensional, got ndim=1"),
+    (lambda: validate_instance(Instance(np.zeros((0, 2)), np.zeros(0), 0, _TOL)),
+     DimensionMismatchError, "A must be nonempty, got shape (0, 2)"),
+    (lambda: validate_instance(Instance(np.eye(2), np.ones(2), 1, ToleranceConfig())),
+     ToleranceError, "rank_tol is unresolved"),
+    (lambda: instance_from_dict([]), InstanceFormatError, "instance JSON must be an object"),
+], ids=["from_arrays-1d", "validate-1d", "validate-empty", "validate-unresolved",
+        "from_dict-list"])
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestInstanceFiles:
@@ -152,6 +175,36 @@ class TestInstanceFiles:
         path.write_text("2,2,1\n1.0,0.0\n0.0,oops\n1.0,1.0\n")
         with pytest.raises(InstanceFormatError, match="line 3"):
             load_instance(path)
+
+    @pytest.mark.parametrize("name, raw", [("bad.json", b'\xff\xfe{"m":1}'),
+                                           ("bad.csv", b"2,2,1\n1,0\n0,\xff1\n1,1\n")])
+    def test_non_utf8_file_rejected(self, tmp_path, name, raw):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(InstanceFormatError, match="not UTF-8 text"):
+            load_instance(path)
+
+    def test_csv_negative_dimension_rejected(self, tmp_path):
+        # m = -1 asks for no data rows, so the header alone used to pass the row count.
+        path = tmp_path / "neg.csv"
+        path.write_text("-1,2,1\n")
+        with pytest.raises(InstanceFormatError, match="line 1: m and n must be nonnegative"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("depth", [995, 5000])
+    def test_deeply_nested_json_file_rejected(self, tmp_path, depth):
+        path = tmp_path / "deep.json"
+        path.write_text('{"m": 1, "n": 1, "s": 0, "b": [1], "A": ' + "[" * depth + "]" * depth + "}")
+        with pytest.raises(InstanceFormatError):
+            load_instance(path)
+
+    def test_deeply_nested_list_rejected_without_recursion(self):
+        A = inner = []
+        for _ in range(20000):
+            inner.append([])
+            inner = inner[0]
+        with pytest.raises(InstanceFormatError):
+            instance_from_dict({"m": 1, "n": 1, "s": 0, "A": A, "b": [1.0]})
 
     def test_json_integers_are_numbers(self):
         inst = instance_from_dict({"m": 2, "n": 2, "s": 1, "A": [[1, 0], [0, 1]], "b": [1, 2],

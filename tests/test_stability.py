@@ -38,6 +38,11 @@ def data_distance(a: Instance, b: Instance) -> float:
     return float(np.sqrt(np.sum((a.A - b.A) ** 2) + np.sum((a.b - b.b) ** 2)))
 
 
+def test_negative_delta_rejected(saddle_instance):
+    with pytest.raises(ValidationError, match="delta must be finite and nonnegative, got -1.0"):
+        perturb_instance(saddle_instance, -1.0, 0)
+
+
 class TestPerturbInstance:
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_radius(self, saddle_instance, seed):
@@ -161,7 +166,7 @@ class TestAgreementProperty:
                 default=1.0,
             )
             min_nd1 = min(
-                (p.cert.nd1_min_abs for p in rep.points if np.isfinite(p.cert.nd1_min_abs)),
+                (p.nd1_min_abs for p in rep.points if np.isfinite(p.nd1_min_abs)),
                 default=1.0,
             )
             epsilon = default_probe_epsilon(rep)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from l0landscape import (
+    DimensionMismatchError,
     FeasiblePoint,
     InfeasiblePointError,
     Instance,
@@ -29,6 +31,16 @@ from _oracles import (
 )
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda inst: gradient(inst, [1.0, 0.0, 0.0]), DimensionMismatchError,
+     "x must have length 2, got shape (3,)"),
+    (lambda inst: cell_attachment(5, 2, 1.0), ValueError, "n, s, k must be integers"),
+], ids=["gradient", "cell_attachment"])
+def test_input_check_raises(saddle_instance, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(saddle_instance)
+
+
 def point(inst, coords):
     return FeasiblePoint.from_vector(coords, inst.tol.zero_tol)
 
@@ -37,7 +49,7 @@ def classified(inst, fp):
     """``classify`` of the support-table entry of the stationary point ``fp``."""
     sub = support_min_table(inst)[fp.support]
     np.testing.assert_allclose(sub.argmin, fp.x, atol=1e-12)
-    return classify(inst, sub)
+    return classify(inst, sub, False)
 
 
 class TestGradient:
@@ -92,9 +104,9 @@ class TestNd1Vectors:
         np.testing.assert_allclose(vec, [-1.0])
 
     def test_certificate_vector_empty_at_full_support(self, saddle_instance):
-        cert = classified(saddle_instance, point(saddle_instance, [1.0, 0.0])).cert
-        assert math.isinf(cert.nd1_min_abs)
-        assert cert.nd1_holds
+        sp = classified(saddle_instance, point(saddle_instance, [1.0, 0.0]))
+        assert math.isinf(sp.nd1_min_abs)
+        assert sp.nd1_holds
 
     def test_direct_requires_stationarity(self, saddle_instance):
         with pytest.raises(NotStationaryError):
@@ -134,30 +146,29 @@ class TestNd1Vectors:
 
 class TestCertify:
     def test_zero_data_origin_fails_nd1(self, instability_original):
-        cert = classified(instability_original, point(instability_original, [0.0, 0.0])).cert
-        assert not cert.nd1_holds
-        assert cert.nd1_min_abs == 0.0
-        assert not cert.nd1_near_degenerate
-        assert cert.nd2_holds
+        sp = classified(instability_original, point(instability_original, [0.0, 0.0]))
+        assert not sp.nd1_holds
+        assert sp.nd1_min_abs == 0.0
+        assert not sp.nd1_near_degenerate
+        assert sp.nd2_holds
 
     def test_full_support_point_is_nd1_vacuous(self, instability_perturbed):
-        cert = classified(instability_perturbed, point(instability_perturbed, [0.1, 0.0])).cert
-        assert cert.nd1_holds
-        assert math.isinf(cert.nd1_min_abs)
-        assert cert.nd2_holds
-        assert cert.nondegenerate
+        sp = classified(instability_perturbed, point(instability_perturbed, [0.1, 0.0]))
+        assert sp.nd1_holds
+        assert math.isinf(sp.nd1_min_abs)
+        assert sp.nd2_holds
 
     def test_duplicated_columns_fail_nd2(self):
         inst = Instance.from_arrays([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 0.0], 2)
-        cert = classified(inst, point(inst, [0.5, 0.5, 0.0])).cert
-        assert not cert.nd2_holds
+        sp = classified(inst, point(inst, [0.5, 0.5, 0.0]))
+        assert not sp.nd2_holds
 
     def test_near_degenerate_flagged(self):
         # off-support gradient magnitudes sit inside (0, stat_tol]
         inst = Instance.from_arrays(np.eye(2), [5e-9, 3e-9], 1)
-        cert = classified(inst, point(inst, [0.0, 0.0])).cert
-        assert not cert.nd1_holds
-        assert cert.nd1_near_degenerate
+        sp = classified(inst, point(inst, [0.0, 0.0]))
+        assert not sp.nd1_holds
+        assert sp.nd1_near_degenerate
 
 
 class TestClassify:
@@ -179,6 +190,16 @@ class TestClassify:
         inst = Instance.from_arrays(np.eye(3), [0.7, 0.8, 0.9], 2)
         sp = classified(inst, point(inst, [0.0, 0.0, 0.0]))
         assert sp.kind is PointKind.LOWER_ORDER
+
+    @pytest.mark.parametrize("coords, kind", [([0.1, 0.0], PointKind.LOCAL_MINIMIZER),
+                                              ([0.0, 0.0], PointKind.SADDLE_POINT)])
+    def test_on_continuum_is_degenerate_while_local_checks_pass(
+            self, instability_perturbed, coords, kind):
+        sub = support_min_table(instability_perturbed)[point(instability_perturbed, coords).support]
+        assert classify(instability_perturbed, sub, False).kind is kind
+        sp = classify(instability_perturbed, sub, True)
+        assert sp.nd1_holds and sp.nd2_holds
+        assert sp.kind is PointKind.DEGENERATE
 
     @pytest.mark.parametrize("seed", range(5))
     def test_invariant_under_column_permutation_and_scaling(self, seed):
@@ -207,7 +228,7 @@ class TestClassify:
         for p in enumerate_stationary(inst).points:
             U = list(p.point.support)
             full_rank = numerical_rank(inst.A[:, U], inst.tol.rank_tol) == len(U)
-            assert p.cert.nd2_holds is full_rank
+            assert p.nd2_holds is full_rank
             assert p.value == objective(inst, p.point.x)
 
 
