@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import sys
@@ -25,7 +26,9 @@ from .stability import StabilityProbeConfig, default_probe_epsilon, probe_strong
 from .iht import iht_solve
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="l0landscape",
         description="Landscape analysis for sparsity-constrained least squares.",
@@ -178,8 +181,7 @@ def _dispatch(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, csv_text = _dispatch(args)
         if csv_text is not None:

@@ -3,18 +3,22 @@
 Every support of size at most ``s`` is solved once by least squares on its
 column submatrix; the points, their ND2 verdicts, the s-regularity verdict
 and the level sweep are all read from that one table.  It is built one
-support size at a time: one stacked SVD decides the ranks of all supports of
-a size, and one ``lstsq`` per support gives its argmin, whose ``objective``
-is the entry's value.  Each solution is M-stationary by construction because
+support size at a time, in blocks of at most ``_BLOCK`` supports, in a few
+stacked calls rather than numpy calls per support: one stacked SVD decides the
+ranks of a block, one call of numpy's least-squares gufunc gives their
+argmins (one LAPACK ``gelsd`` each), one stacked ``objective`` their values,
+and one stacked ``gradient`` over the block's fixpoints gives, through
+``point_margins``, each point's stationarity residual and ND1 margin; no
+gradient is kept.  Each solution is M-stationary by construction because
 its gradient vanishes on the solved support, which contains the solution's
 own support.  Two solutions are the same point exactly when their supports
 under ``zero_tol`` agree, so the points are the fixpoints, the supports whose
 solve has exactly that support.  A solve vanishes off its support, so those
 are the supports all of whose solved coefficients exceed ``zero_tol``: one
-mask per size.  ``_fixpoints`` alone selects them, in report order, for the
-enumerator and the stability probe.  ``classify`` certifies
-each point from its entry, so a point's value, ND2 verdict and report order
-all come from its one solve.  Rank-deficient solves certify a continuum of
+mask per block.  ``_fixpoints`` alone selects them, in report order, for the
+enumerator and the stability probe.  ``classify`` certifies each point from
+its entry, so a point's value, margins, ND2 verdict and report order all
+come from its one solve.  Rank-deficient solves certify a continuum of
 stationary points; ``classify`` makes the point each one chases to degenerate.
 """
 
@@ -40,13 +44,19 @@ from .model import (
     support_to_json,
     validate_instance,
 )
-from .stationarity import PointKind, StationaryPoint, SupportSubspace, classify
+from .stationarity import PointKind, StationaryPoint, SupportSubspace, classify, point_margins
 from .util import rng_for
 
 logger = logging.getLogger(__name__)
 
 # Relative tolerance for detecting ties among stationary values.
 VALUE_TIE_REL = 1e-9
+
+# Supports per stacked call.  Larger blocks leave the per-support cost where
+# it is but make the temporaries of the largest sizes (the (N, m, k) stack,
+# the values' and gradients' products) tens of MB, which the allocator then
+# keeps: peak RSS at (14, 20, 7) rose by about 40 MB without blocks.
+_BLOCK = 4096
 
 
 @dataclass
@@ -124,9 +134,9 @@ def _s_regularity(verdicts: Iterable[tuple[Support, bool]]) -> tuple[bool, Suppo
     return witness is None, witness
 
 
-def _column_stack(A: np.ndarray, supports: list[Support]) -> np.ndarray:
+def _column_stack(A: np.ndarray, supports: np.ndarray | list[Support]) -> np.ndarray:
     """The ``(N, m, k)`` stack of the submatrices ``A[:, S]`` of N supports of one size k."""
-    return A.T[np.array(supports, dtype=int)].transpose(0, 2, 1)
+    return A.T[np.asarray(supports, dtype=int)].transpose(0, 2, 1)
 
 
 def check_s_regularity(A, s: int, rank_tol: float) -> tuple[bool, Support | None]:
@@ -139,23 +149,33 @@ def check_s_regularity(A, s: int, rank_tol: float) -> tuple[bool, Support | None
     return _s_regularity(zip(supports, numerical_rank(_column_stack(A, supports), rank_tol) == s))
 
 
-def _solve_supports(inst: Instance, supports: Iterable[Support]) -> list[SupportSubspace]:
+def _solve_supports(inst: Instance, supports: Iterable[Support],
+                    margins: bool = True) -> list[SupportSubspace]:
     """Subspace minima of supports in size order.
 
-    Per size: one stacked SVD for the ranks, one ``lstsq`` per support, the
-    argmins as the rows of one ``(N, n)`` block and one fixpoint mask.
+    Per block of at most ``_BLOCK`` supports of one size, a few stacked
+    calls: one SVD stack for the ranks, one least-squares gufunc call for the
+    solves, the argmins as the rows of one ``(N, n)`` block, one stacked
+    ``objective`` for the values and one fixpoint mask.  With ``margins``,
+    the fixpoints' gradient margins come from one ``point_margins`` call.
     """
     subs = []
-    for _, group in itertools.groupby(supports, key=len):
+    for k, group in itertools.groupby(supports, key=len):
         group = list(group)
-        stack = _column_stack(inst.A, group)
-        full_rank = numerical_rank(stack, inst.tol.rank_tol) == stack.shape[2]
-        Z = solve_normal_equations(stack, inst.b, inst.tol.rank_tol)
-        fixpoint = (np.abs(Z) > inst.tol.zero_tol).all(axis=1)
-        X = np.zeros((len(group), inst.n))
-        X[np.arange(len(group))[:, None], np.array(group, dtype=int)] = Z
-        subs += [SupportSubspace(S, objective(inst, x), x, fix, full)
-                 for S, x, fix, full in zip(group, X, fixpoint.tolist(), full_rank.tolist())]
+        for block in (group[i:i + _BLOCK] for i in range(0, len(group), _BLOCK)):
+            index = np.array(block, dtype=int).reshape(len(block), k)
+            stack = _column_stack(inst.A, index)
+            full_rank = numerical_rank(stack, inst.tol.rank_tol) == k
+            Z = solve_normal_equations(stack, inst.b, inst.tol.rank_tol)
+            fixpoint = (np.abs(Z) > inst.tol.zero_tol).all(axis=1)
+            X = np.zeros((len(block), inst.n))
+            X[np.arange(len(block))[:, None], index] = Z
+            resid, nd1 = np.full(len(block), None), np.full(len(block), None)
+            if margins:
+                resid[fixpoint], nd1[fixpoint] = point_margins(inst, index[fixpoint], X[fixpoint])
+            subs += [SupportSubspace(*entry) for entry in zip(
+                block, objective(inst, X).tolist(), X, fixpoint.tolist(), full_rank.tolist(),
+                resid, nd1)]
     return subs
 
 

@@ -3,7 +3,8 @@
 Column-submatrix least squares, singular-value based rank decisions, and the
 largest Gram eigenvalue.  Everything is a pure function of its inputs.  The
 solver takes an ``(N, m, k)`` stack of same-size column submatrices, which is
-validated once and whose ranks one stacked SVD decides.  Target scale is
+validated once, whose ranks one stacked SVD decides and whose ``N`` solves
+one call of numpy's stacked least-squares kernel makes.  Target scale is
 desk-sized problems (m, n up to a few dozen), so all routines favour
 robustness over asymptotics.
 """
@@ -11,6 +12,9 @@ robustness over asymptotics.
 from __future__ import annotations
 
 import numpy as np
+# The gufunc behind ``np.linalg.lstsq`` (numpy >= 2.0), which the public
+# wrapper only calls on one matrix at a time.
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DimensionMismatchError, NonFiniteDataError
 
@@ -44,19 +48,29 @@ def numerical_rank(M, rank_tol: float) -> int | np.ndarray:
     if rank_tol < 0:
         raise ValueError(f"rank_tol must be nonnegative, got {rank_tol}")
     sigma = np.linalg.svd(M, compute_uv=False)
-    ranks = np.count_nonzero(sigma > rank_tol * sigma[..., :1], axis=-1)
+    # A threshold that overflows is exceeded by no singular value, as its
+    # exact value would be.
+    with np.errstate(over="ignore"):
+        ranks = np.count_nonzero(sigma > rank_tol * sigma[..., :1], axis=-1)
     return int(ranks) if M.ndim == 2 else ranks
+
+
+def _raise_svd_failure(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def solve_normal_equations(stack, b, rank_tol: float) -> np.ndarray:
     """Least-squares solutions of ``min_z ||A_S z - b||`` for an ``(N, m, k)`` stack.
 
-    Row ``i`` of the ``(N, k)`` result is one ``lstsq`` call on ``stack[i]``
-    (an SVD, never explicitly formed normal equations) with cutoff
-    ``rank_tol``: the unique solution under full column rank, else the
-    minimum-norm one.  Full rank is ``numerical_rank(stack, rank_tol) == k``,
-    not the rank ``lstsq`` reports: LAPACK replaces a cutoff of 0 or of 1
-    and above by machine epsilon, so its count follows another rule there.
+    Row ``i`` of the ``(N, k)`` result is the ``np.linalg.lstsq`` solution on
+    ``stack[i]`` with cutoff ``rank_tol``, bit for bit: one LAPACK ``gelsd``
+    (an SVD, never explicitly formed normal equations) per matrix, all in one
+    call of the gufunc behind that wrapper.  It is the unique solution under
+    full column rank, else the minimum-norm one.  Full rank is
+    ``numerical_rank(stack, rank_tol) == k``, not the rank ``lstsq`` reports:
+    LAPACK replaces a cutoff of 0 or of 1 and above by machine epsilon, so
+    its count follows another rule there.  An SVD that does not converge
+    raises ``LinAlgError``, as the wrapper does.
     """
     stack = _as_finite(stack, (3,), "stack")
     b = _as_finite(b, (1,), "b")
@@ -64,10 +78,12 @@ def solve_normal_equations(stack, b, rank_tol: float) -> np.ndarray:
         raise DimensionMismatchError(
             f"stack has {stack.shape[1]} rows but b has length {b.shape[0]}"
         )
-    Z = np.empty(stack.shape[::2])
-    for i, A_S in enumerate(stack):
-        Z[i] = np.linalg.lstsq(A_S, b, rcond=rank_tol)[0]
-    return Z
+    with np.errstate(call=_raise_svd_failure, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        Z = _umath_linalg.lstsq(stack, b[:, None], rank_tol, signature="ddd->ddid")[0]
+    if stack.shape[1] == 0:
+        Z[...] = 0.0  # LAPACK leaves the solution of no equations unset
+    return Z[..., 0]
 
 
 def largest_eigenvalue_gram(A) -> float:

@@ -124,13 +124,25 @@ class FeasiblePoint:
         return len(self.support)
 
 
-def objective(inst: Instance, x) -> float:
-    """Objective value ``0.5 * ||A x - b||^2``."""
+def residual(inst: Instance, x) -> np.ndarray:
+    """Residual ``A x - b`` at ``x``, or at each row of an ``(N, n)`` stack of points."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (inst.n,):
+    if x.ndim not in (1, 2) or x.shape[-1] != inst.n:
         raise DimensionMismatchError(f"x must have length {inst.n}, got shape {x.shape}")
-    r = inst.A @ x - inst.b
-    return 0.5 * float(r @ r)
+    r = np.matmul(inst.A, x[..., None])[..., 0]
+    r -= inst.b
+    return r
+
+
+def objective(inst: Instance, x) -> float | np.ndarray:
+    """Objective value ``0.5 * ||A x - b||^2``, or the array of values of a stack.
+
+    A stack's values are those of its rows one at a time, bit for bit: every
+    row goes through the same matrix-vector and dot-product kernels.
+    """
+    r = residual(inst, x)
+    value = 0.5 * np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
+    return float(value) if r.ndim == 1 else value
 
 
 def validate_instance(inst: Instance) -> None:

@@ -34,6 +34,11 @@ from .stationarity import PointKind, StationaryPoint
 from .util import rng_for, spawn_seed
 
 
+# Coefficients of magnitude in [_EXTREME, 1 / _EXTREME] have sums of squares
+# well within float64; _rescaled scales others by a power of two.
+_EXTREME = 2.0**-480
+
+
 class StabilityVerdict(str, Enum):
     STABLE = "StableEvidence"
     UNSTABLE = "UnstableEvidence"
@@ -108,6 +113,25 @@ def perturb_instance(
     return Instance.from_arrays(inst.A + E, inst.b + e, inst.s, inst.tol)
 
 
+def _rescaled(xs: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(shift, xs * 2 ** -shift)``, an exact scale that keeps ``xs`` in range.
+
+    Sums of squares of coefficients, and of their differences, overflow
+    float64 from magnitudes near ``1e154`` on and underflow below about
+    ``1e-154``.  Scaled, the largest magnitude lies in ``[0.5, 1)``; the
+    shift is 0, so nothing changes, when it lies in ``[_EXTREME, 1 / _EXTREME]``.
+    """
+    top = float(np.max(np.abs(xs), initial=0.0))
+    shift = 0 if top == 0.0 or _EXTREME <= top <= 1.0 / _EXTREME else math.frexp(top)[1]
+    return shift, np.ldexp(xs, -shift)
+
+
+def _distances(xs: list[np.ndarray], y: np.ndarray) -> list[float]:
+    """``np.linalg.norm(x - y)`` for each ``x``, all taken after one ``_rescaled``."""
+    shift, P = _rescaled(np.array([*xs, y]))
+    return [math.ldexp(float(np.linalg.norm(p - P[-1])), shift) for p in P[:-1]]
+
+
 def default_probe_epsilon(report: LandscapeReport) -> float:
     """Quarter of the smallest distance between distinct stationary points.
 
@@ -117,10 +141,12 @@ def default_probe_epsilon(report: LandscapeReport) -> float:
     rounded norms.  ``np.linalg.norm`` is taken only within a relative ``1e-9``
     of a window's smallest squared distance, far wider than their rounding, so
     the result is the all-pairs minimum of the ``norm`` values exactly.
+    Extreme coefficients are first scaled by an exact power of two
+    (``_rescaled``), and the gap scaled back.
     """
     if len(report.points) < 2:
         return 1e-2
-    xs = np.array([p.point.x for p in report.points])
+    shift, xs = _rescaled(np.array([p.point.x for p in report.points]))
     norms = np.linalg.norm(xs, axis=1)
     order = np.argsort(norms)
     xs, norms = xs[order], norms[order]
@@ -132,7 +158,7 @@ def default_probe_epsilon(report: LandscapeReport) -> float:
             sq = np.einsum("ij,ij->i", diff, diff)
             for j in np.nonzero(sq <= sq.min() * (1.0 + 1e-9))[0]:
                 gap = min(gap, float(np.linalg.norm(diff[j])))
-    return 0.25 * gap
+    return 0.25 * math.ldexp(gap, shift)
 
 
 def _near_stationary_points(inst: Instance, x_bar: np.ndarray, r: float) -> list[np.ndarray]:
@@ -149,8 +175,9 @@ def _near_stationary_points(inst: Instance, x_bar: np.ndarray, r: float) -> list
     candidates = (tuple(sorted(core + extra))
                   for k in range(inst.s - len(core) + 1)
                   for extra in itertools.combinations(rest, k))
-    near = _fixpoints(sub for sub in _solve_supports(inst, candidates)
-                      if np.linalg.norm(sub.argmin - x_bar) <= r)
+    subs = _solve_supports(inst, candidates, margins=False)
+    distance = _distances([sub.argmin for sub in subs], x_bar)
+    near = _fixpoints(sub for sub, d in zip(subs, distance) if d <= r)
     return [sub.argmin for sub in near]
 
 
@@ -185,7 +212,7 @@ def probe_strong_stability(
         except NonFiniteDataError as exc:
             raise ValidationError(
                 f"delta={cfg.delta} gives perturbed data outside float64 range: {exc}") from exc
-        exists = any(np.linalg.norm(x - x_bar) <= cfg.epsilon for x in near)
+        exists = any(d <= cfg.epsilon for d in _distances(near, x_bar))
         exists_count += exists
         unique_count += exists and len(near) == 1
         if t < 10:

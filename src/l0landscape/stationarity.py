@@ -17,11 +17,11 @@ label; a point's ``kind`` is its one degeneracy verdict.
 
 The points classified here are least-squares solves of their supports, so
 they are M-stationary by construction.  :func:`classify` reads everything
-but the gradient from the point's support-table entry, a
-:class:`SupportSubspace`: the point, its value and the rank verdict that
-decides ND2.  The gradient comes from :func:`gradient`; the point keeps
-only its ND1 margin, and the stationarity residual is reported but never
-gated on.
+from the point's support-table entry, a :class:`SupportSubspace`: the point,
+its value, the rank verdict that decides ND2 and the two gradient margins.
+The table takes those margins from :func:`point_margins`, which reduces the
+gradients of all points of one support size at once and keeps no gradient;
+the stationarity residual is reported but never gated on.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InfeasiblePointError
-from .model import FeasiblePoint, Instance, Support
+from .errors import InfeasiblePointError
+from .model import FeasiblePoint, Instance, Support, residual
 
 
 class PointKind(str, Enum):
@@ -52,6 +52,9 @@ class SupportSubspace:
     argmin: np.ndarray
     fixpoint: bool  # every solved coefficient exceeds zero_tol: the argmin is a point
     full_rank: bool
+    # The margins of a fixpoint's point (see point_margins); None elsewhere.
+    stationarity_residual: float | None = None
+    nd1_min_abs: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,42 +88,53 @@ class CellAttachment:
 
 
 def gradient(inst: Instance, x) -> np.ndarray:
-    """Gradient ``A.T (A x - b)`` of the objective at ``x``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.n,):
-        raise DimensionMismatchError(f"x must have length {inst.n}, got shape {x.shape}")
-    return inst.A.T @ (inst.A @ x - inst.b)
-
-
-def _max_on_support(inst: Instance, point: FeasiblePoint, g: np.ndarray) -> float:
-    if len(point.support) > inst.s:
-        raise InfeasiblePointError(f"point has {len(point.support)} nonzeros but s={inst.s}")
-    return float(np.max(np.abs(g[list(point.support)]), initial=0.0))
+    """Gradient ``A.T (A x - b)`` at ``x``, or at each row of an ``(N, n)`` stack of points."""
+    return np.matmul(inst.A.T, residual(inst, x)[..., None])[..., 0]
 
 
 def stationarity_residual(inst: Instance, point: FeasiblePoint) -> float:
     """Max-norm of the gradient restricted to the support (0 for empty support)."""
-    return _max_on_support(inst, point, gradient(inst, point.x))
+    if len(point.support) > inst.s:
+        raise InfeasiblePointError(f"point has {len(point.support)} nonzeros but s={inst.s}")
+    g = gradient(inst, point.x)
+    return float(np.max(np.abs(g[list(point.support)]), initial=0.0))
+
+
+def point_margins(inst: Instance, supports: np.ndarray,
+                  X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stationarity residuals and ND1 margins of points with one support size k.
+
+    Row ``i`` of the ``(P, n)`` block ``X`` is a point on the support in row
+    ``i`` of the ``(P, k)`` index array ``supports``.  Their gradients come
+    from one stacked product, bit for bit those of :func:`gradient` one point
+    at a time, and are reduced at once: the residual is the largest gradient
+    magnitude on the support (0 when it is empty), the ND1 margin the
+    smallest off it, infinite when ``k == s`` makes ND1 vacuous.
+    """
+    G = np.abs(gradient(inst, X))
+    on = np.zeros(G.shape, dtype=bool)
+    on[np.arange(len(G))[:, None], supports] = True
+    resid = G.max(axis=1, where=on, initial=0.0)
+    if supports.shape[1] == inst.s:
+        return resid, np.full(len(G), math.inf)
+    return resid, G.min(axis=1, where=~on, initial=math.inf)
 
 
 def classify(inst: Instance, sub: SupportSubspace, on_continuum: bool) -> StationaryPoint:
     """Certify and classify the point of a support-table entry.
 
-    ``sub`` is a fixpoint of the table, so its argmin is the point and its
-    ``min_value`` the point's value; its rank verdict decides ND2.  ND1 uses
-    a strict threshold: entries must exceed ``stat_tol`` in absolute value.
-    A smallest magnitude in ``(0, stat_tol]`` is a failure with the
-    near-degenerate warning set, since floating point cannot certify exact
-    nonvanishing.  The point is degenerate when ND1 or ND2 fails or when
-    ``on_continuum``, a continuum of stationary points passing through it.
-    The stationarity residual is reported, never gated on.
+    ``sub`` is a fixpoint of the table, so its argmin is the point, its
+    ``min_value`` the point's value and its margins the point's; its rank
+    verdict decides ND2.  ND1 uses a strict threshold: entries must exceed
+    ``stat_tol`` in absolute value.  A smallest magnitude in
+    ``(0, stat_tol]`` is a failure with the near-degenerate warning set,
+    since floating point cannot certify exact nonvanishing.  The point is
+    degenerate when ND1 or ND2 fails or when ``on_continuum``, a continuum
+    of stationary points passing through it.  The stationarity residual is
+    reported, never gated on.
     """
-    point = FeasiblePoint(sub.argmin, sub.support)
-    g = gradient(inst, sub.argmin)
-    resid = _max_on_support(inst, point, g)
     k = len(sub.support)
-    vec = np.zeros(0) if k == inst.s else np.delete(g, sub.support)
-    min_abs = float(np.min(np.abs(vec), initial=math.inf))
+    min_abs = sub.nd1_min_abs
     nd1 = min_abs > inst.tol.stat_tol
     if on_continuum or not (nd1 and sub.full_rank):
         kind = PointKind.DEGENERATE
@@ -131,9 +145,9 @@ def classify(inst: Instance, sub: SupportSubspace, on_continuum: bool) -> Statio
     else:
         kind = PointKind.LOWER_ORDER
     return StationaryPoint(
-        point=point,
+        point=FeasiblePoint(sub.argmin, sub.support),
         value=sub.min_value,
-        stationarity_residual=resid,
+        stationarity_residual=sub.stationarity_residual,
         nd1_holds=nd1,
         nd1_min_abs=min_abs,
         nd1_near_degenerate=(not nd1) and min_abs > 0.0,

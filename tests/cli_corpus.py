@@ -153,6 +153,11 @@ def _commands() -> list[list[str]]:
         ["analyze", "--instance", _write("inst/negative-m.csv", "-1,2,1\n")],
         ["analyze", "--instance", _write("inst/deep.json", '{"m": 1, "n": 1, "s": 0, "b": [1], '
                                          '"A": ' + "[" * 10000 + "]" * 10000 + "}")],
+        # A coefficient of 2e154, whose square overflows float64: the default
+        # epsilon once overflowed (exit 1 with warnings as errors).
+        ["probe", "--instance", _write("inst/big-coefficient.json", {
+            "m": 2, "n": 3, "s": 1, "A": [[1.5e-154, 1, 0.5], [0, 0.3, 1]], "b": [3, 1]}),
+         "--seed", "0", "--trials", "2"],
     ]
     return commands
 

@@ -4,14 +4,19 @@ Usage::
 
     PYTHONPATH=src python tests/input_sweep.py SEED COUNT
 
-Each case writes one small valid instance file, JSON or CSV, applies one
-mutation to it and runs one command on it through ``l0landscape.cli.main``
-in this process: ``analyze``, ``sweep``, ``regularity``, ``iht`` or
-``probe --seed 0 --trials 2``.  The mutations cover keys (dropped, added,
-retyped), the dimensions ``m``, ``n`` and ``s``, extreme and non-finite
-entries, file structure (deep nesting, truncation, a non-UTF-8 byte), the
-tolerances and, for CSV, the header, the row count and width, non-numeric
-cells and blank lines.  Every shape has ``n <= 7``, so no case runs long.
+Each case writes one small valid instance file, JSON or CSV, and runs one
+command on it through ``l0landscape.cli.main`` in this process: ``analyze``,
+``sweep``, ``regularity``, ``iht`` or ``probe --seed 0 --trials 2``.  One
+mutation applies either to the file or to the command's flags.  The file
+mutations cover keys (dropped, added, retyped), the dimensions ``m``, ``n``
+and ``s``, extreme and non-finite entries, file structure (deep nesting,
+truncation, a non-UTF-8 byte), the tolerances and, for CSV, the header, the
+row count and width, non-numeric cells and blank lines.  The flag mutations
+set ``--zero-tol``, ``--stat-tol`` or ``--rank-tol`` to 0, 1, infinite, NaN,
+negative or extreme values, and give ``probe`` an out-of-range ``--point``,
+``--epsilon`` and ``--delta`` at the edges of their ranges, or ``--trials``
+at 0, -1 or a small count.  Every shape has ``n <= 7`` and no probe runs more
+than 3 trials, so no case runs long.
 
 A case passes when the command exits 0 or 2, never 1; on exit 0 its standard
 output is JSON without ``NaN`` or ``Infinity``; on exit 2 its standard error
@@ -47,6 +52,19 @@ _NUMBERS = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, -0.0]
 _CSV_CELLS = ["1e400", "-1e400", "nan", "inf", "-inf", "-0.0", "5e-324", "1e-300", "1e300",
               "9" * 400, "abc", "", "0x10", "1e", "--1"]
 _RETYPED = ["2", True, None, [[1.0]], 1.5]
+# Flag values at the edges of each flag's range (and past them).
+_EDGES = ["0", "-0.0", "1", "inf", "-inf", "nan", "-1e-3", "5e-324", "1e-300", "1e300",
+          "1.7976931348623157e308"]
+_FLAG_VALUES = {
+    "--zero-tol": _EDGES,
+    "--stat-tol": _EDGES,
+    "--rank-tol": _EDGES,
+    "--point": ["-1", "7", "64", "1000000", "10" * 20],
+    "--epsilon": _EDGES,
+    "--delta": _EDGES,
+    "--trials": ["0", "-1", "1", "3"],
+}
+_PROBE_ONLY = ("--point", "--epsilon", "--delta", "--trials")
 
 
 @dataclass(frozen=True)
@@ -198,17 +216,31 @@ def _mutate_csv(rng, data: dict) -> tuple[str, str | bytes]:
     return label, text
 
 
+def _mutate_flags(rng, command: list[str]) -> tuple[str, list[str]]:
+    """One or two flags at the edges of their ranges: the label and the new command."""
+    flags = [f for f in _FLAG_VALUES if command[0] == "probe" or f not in _PROBE_ONLY]
+    given = [f"{flag}={_pick(rng, _FLAG_VALUES[flag])}"
+             for flag in rng.choice(flags, size=int(rng.integers(1, 3)), replace=False)]
+    # A repeated flag overrides the command's own --trials 2.
+    return "flags " + " ".join(given), command + given
+
+
 def make_case(seed: int, index: int) -> Case:
     """Case ``index`` of the sweep with seed ``seed``."""
     rng = np.random.default_rng((seed, index))
     data = _base(rng)
     command = _pick(rng, COMMANDS)
-    if rng.integers(2):
+    family = int(rng.integers(3))
+    if family == 0:
         label, content = _mutate_json(rng, data)
         name = "inst.json"
-    else:
+    elif family == 1:
         label, content = _mutate_csv(rng, data)
         name = "inst.csv"
+    else:
+        label, command = _mutate_flags(rng, command)
+        content = json.dumps(data)
+        name = "inst.json"
     if isinstance(content, str):
         content = content.encode()
     return Case(f"{name[5:]}: {label}", name, content, command)

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from l0landscape.cli import main
+from l0landscape.cli import build_parser, main
 
 
 @pytest.fixture
@@ -66,6 +67,12 @@ class TestAnalyze:
         assert len(payload["points"]) == 1
         assert payload["points"][0]["x"] == [0.0, 0.0]
         assert payload["points"][0]["kind"] == "LocalMinimizer"
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys, saddle_file):
+        assert build_parser() is build_parser()
+        _, table, _ = run_cli(capsys, ["analyze", "--instance", saddle_file, "--csv"])
+        _, report, _ = run_cli(capsys, ["analyze", "--instance", saddle_file])
+        assert table.startswith("index,") and json.loads(report)["r"] == 2
 
     def test_byte_identical_reruns(self, capsys, saddle_file):
         _, first, _ = run_cli(capsys, ["analyze", "--instance", saddle_file])
@@ -279,6 +286,23 @@ class TestErrorPaths:
             main(["probe", "--instance", saddle_file])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("point", range(4))
+    def test_probe_near_the_coefficient_overflow_limit(self, capsys, tmp_path, point):
+        # A column of norm 1.5e-154 gives a coefficient of 2e154, whose square
+        # overflows: the default epsilon and the trials' distances overflowed
+        # in multiply and dot (exit 1 with warnings as errors).
+        path = tmp_path / "big-coefficient.json"
+        path.write_text(json.dumps({"m": 2, "n": 3, "s": 1, "b": [3.0, 1.0],
+                                    "A": [[1.5e-154, 1.0, 0.5], [0.0, 0.3, 1.0]]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run_cli(capsys, ["probe", "--instance", str(path), "--seed", "0",
+                                            "--trials", "2", "--point", str(point)])
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert rc in (0, 2), err
+        if rc == 0:
+            assert json.loads(out)["point_index"] == point
+
     def test_probe_point_index_out_of_range(self, capsys, saddle_file):
         rc, _, err = run_cli(capsys, ["probe", "--instance", saddle_file,
                                       "--seed", "1", "--point", "9"])
@@ -391,6 +415,9 @@ class TestOtherCommands:
         ("0", True, True),
         # Rule sigma > sigma_max: no singular value passes, so no pair does.
         ("1", False, False),
+        # Found by tests/input_sweep.py: the threshold overflowed with a
+        # RuntimeWarning, an internal error under warnings as errors.
+        ("1.7976931348623157e308", False, False),
     ])
     def test_analyze_and_regularity_agree_at_extreme_rank_tol(
             self, capsys, tmp_path, rank_tol, duplicate, expected):

@@ -20,6 +20,7 @@ from l0landscape import (
     objective,
     run_genericity_experiment,
     solve_normal_equations,
+    stationarity_residual,
     support_of,
     sweep_levels,
 )
@@ -362,13 +363,16 @@ class TestOneSolvePerSupport:
             inst.A, inst.s, inst.tol.rank_tol)
 
 
-def duplicate_column_instance(shape=(6, 10, 3), seed=0):
-    """Gaussian data whose last column copies the first, drawn as the benchmark draws it."""
+def benchmark_instance(shape, variant, seed=0):
+    """Gaussian data, or its zero-column or duplicate-column variant, drawn as the benchmark draws it."""
     m, n, s = shape
     rng = np.random.default_rng(np.random.SeedSequence((seed, m, n, s, 0)))
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    A[:, -1] = A[:, 0]
+    if variant == "zero-column":
+        A[:, 0] = 0.0
+    elif variant == "duplicate-column":
+        A[:, -1] = A[:, 0]
     return Instance.from_arrays(A, b, s)
 
 
@@ -383,16 +387,37 @@ class TestStackedTable:
         for S, sub in table.items():
             assert sub.full_rank == (numerical_rank(inst.A[:, S], inst.tol.rank_tol) == len(S))
 
-    def test_points_are_classified_by_the_pointwise_rule(self):
+    @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column"])
+    def test_blocks_leave_the_table_unchanged(self, monkeypatch, variant):
+        inst = benchmark_instance((5, 8, 3), variant)
+        whole = enumerate_stationary(inst).table
+        monkeypatch.setattr(enumeration, "_BLOCK", 7)
+        blocked = enumerate_stationary(inst).table
+        assert list(whole) == list(blocked)
+        for S, sub in whole.items():
+            other = blocked[S]
+            assert sub.argmin.tobytes() == other.argmin.tobytes()
+            assert (sub.min_value, sub.fixpoint, sub.full_rank, sub.stationarity_residual,
+                    sub.nd1_min_abs) == (other.min_value, other.fixpoint, other.full_rank,
+                                         other.stationarity_residual, other.nd1_min_abs)
+
+    @pytest.mark.parametrize("shape, variant", [
+        ((6, 10, 3), "duplicate-column"),
+        ((5, 8, 3), "generic"), ((5, 8, 3), "zero-column"),
+        ((7, 12, 4), "generic"), ((7, 12, 4), "zero-column"),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_points_are_classified_by_the_pointwise_rule(self, shape, variant):
         # Every reported point must carry the value that objective and the
-        # off-support gradient that gradient give it one point at a time; a
-        # gradient batched over all points rounds the ND1 entries differently.
-        inst = duplicate_column_instance()
+        # gradient that gradient give it one point at a time: the table takes
+        # them from stacked products per support size, and a gradient batched
+        # over all points as one product rounds the ND1 entries differently.
+        inst = benchmark_instance(shape, variant)
         rep = enumerate_stationary(inst)
-        assert rep.degenerate > 0
+        assert (rep.degenerate > 0) == (variant != "generic")
         for p in rep.points:
             U = p.point.support
             assert p.value == objective(inst, p.point.x)
+            assert p.stationarity_residual == stationarity_residual(inst, p.point)
             off = gradient(inst, p.point.x)[[i for i in range(inst.n) if i not in U]]
             if len(U) == inst.s:
                 assert p.nd1_min_abs == np.inf

@@ -1,10 +1,10 @@
-"""A fixed slice of the seeded instance-file mutation sweep (see ``input_sweep.py``)."""
+"""A fixed slice of the seeded instance-file and flag mutation sweep (see ``input_sweep.py``)."""
 
 import collections
 
 import pytest
 
-from input_sweep import Outcome, make_case, problems, sweep
+from input_sweep import _FLAG_VALUES, Outcome, make_case, problems, sweep
 
 SEED, COUNT = 0, 600
 
@@ -20,6 +20,8 @@ def test_fixed_slice_covers_every_command_and_format():
     assert collections.Counter(c.argv[0] for c in cases).keys() == {
         "analyze", "sweep", "regularity", "iht", "probe"}
     assert {c.name for c in cases} == {"inst.json", "inst.csv"}
+    flags = {arg.split("=")[0] for c in cases for arg in c.argv if "=" in arg}
+    assert flags == _FLAG_VALUES.keys()
 
 
 def test_cases_are_reproducible_from_seed_and_index():

@@ -48,6 +48,11 @@ class TestNumericalRank:
     def test_empty_columns(self):
         assert numerical_rank(np.zeros((3, 0)), TOL) == 0
 
+    def test_threshold_that_overflows_passes_no_singular_value(self):
+        # Found by tests/input_sweep.py: rank_tol * sigma_max overflowed with
+        # a RuntimeWarning.  No singular value exceeds the exact threshold.
+        assert numerical_rank(np.eye(3) * 10.0, np.finfo(float).max) == 0
+
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteDataError):
             numerical_rank([[np.nan, 0.0], [0.0, 1.0]], TOL)
@@ -103,14 +108,27 @@ class TestStackedNumericalRank:
 
 
 class TestSolveNormalEquations:
-    def test_stack_rows_equal_stacks_of_one(self):
+    @pytest.mark.parametrize("rank_tol", [default_rank_tol(5, 7), 0.0, 1.0])
+    @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column"])
+    def test_stack_rows_equal_the_public_lstsq(self, variant, rank_tol):
+        # One gufunc call on the stack gives, bit for bit, what
+        # np.linalg.lstsq gives one matrix at a time; k = 0 stacks included.
         b = np.random.default_rng(3).standard_normal(5)
-        for variant in ["generic", "duplicate-column"]:
-            for stack in column_stacks(variant):
-                Z = solve_normal_equations(stack, b, TOL)
-                assert Z.shape == stack.shape[::2]
-                for A_S, z in zip(stack, Z):
-                    assert np.array_equal(z, solve_one(A_S, b)[0])
+        for stack in column_stacks(variant):
+            Z = solve_normal_equations(stack, b, rank_tol)
+            assert Z.shape == stack.shape[::2]
+            for A_S, z in zip(stack, Z):
+                assert z.tobytes() == np.linalg.lstsq(A_S, b, rcond=rank_tol)[0].tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 5, 2), (0, 5, 0), (3, 5, 0), (3, 0, 2), (0, 0, 0)],
+                             ids=["N=0", "N=0,k=0", "k=0", "m=0", "empty"])
+    def test_empty_stacks(self, shape):
+        stack = np.zeros(shape)
+        b = np.ones(shape[1])
+        Z = solve_normal_equations(stack, b, TOL)
+        assert Z.shape == shape[::2]
+        for A_S, z in zip(stack, Z):
+            assert z.tobytes() == np.linalg.lstsq(A_S, b, rcond=TOL)[0].tobytes()
 
     def test_rejects_a_single_matrix(self):
         with pytest.raises(DimensionMismatchError):

@@ -239,6 +239,16 @@ class TestDefaultEpsilon:
         assert default_probe_epsilon(report_of(xs)) == 0.25 * min_gap_pairwise(xs)
         assert default_probe_epsilon(report_of(xs[::-1])) == 0.25 * min_gap_pairwise(xs)
 
+    @pytest.mark.parametrize("k", [-1000, -520, 520, 1000])
+    def test_scales_exactly_with_extreme_coefficients(self, k):
+        # Squares of these coefficients overflow or underflow float64; an
+        # exact power-of-two rescale keeps the gap exact (and warning-free).
+        xs = [np.array(x) for x in
+              [(0.0, 0.0), (1.0, 0.0), (0.8, 0.6), (-1.0, 0.0), (0.0, -1.0), (3.0, 4.0)]]
+        scaled = [np.ldexp(x, k) for x in xs]
+        assert default_probe_epsilon(report_of(scaled)) == np.ldexp(
+            default_probe_epsilon(report_of(xs)), k)
+
     def test_all_norms_equal(self):
         xs = [np.roll([1.0, 0.0, 0.0, 0.0], k) for k in range(4)] + [np.full(4, 0.5)]
         assert default_probe_epsilon(report_of(xs)) == 0.25 * min_gap_pairwise(xs)
