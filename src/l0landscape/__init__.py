@@ -25,7 +25,6 @@ from .linalg import (
     solve_normal_equations,
 )
 from .model import (
-    FeasiblePoint,
     Instance,
     Support,
     ToleranceConfig,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellAttachment",
     "DimensionMismatchError",
-    "FeasiblePoint",
     "GenericityReport",
     "IhtResult",
     "InfeasiblePointError",

@@ -16,7 +16,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import ValidationError
 from .model import ToleranceConfig, load_instance, support_to_json, validate_instance
@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _tolerance_flags(args) -> dict:
     """The tolerance flags the user gave, by ``ToleranceConfig`` field name."""
-    return {key: getattr(args, key) for key in ("zero_tol", "stat_tol", "rank_tol")
-            if getattr(args, key) is not None}
+    return {f.name: getattr(args, f.name) for f in fields(ToleranceConfig)
+            if getattr(args, f.name) is not None}
 
 
 def _load(args):
@@ -98,15 +98,15 @@ def _load(args):
 def _points_csv(report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    n = len(report.points[0].point.x) if report.points else 0
+    n = len(report.points[0].x) if report.points else 0
     writer.writerow(["index", "value", "kind", "support", "nd1", "nd2"] +
                     [f"x{i + 1}" for i in range(n)])
     for i, p in enumerate(report.points):
         writer.writerow(
             [i, repr(p.value), p.kind.value,
-             ";".join(map(str, support_to_json(p.point.support))),
+             ";".join(map(str, support_to_json(p.support))),
              p.nd1_holds, p.nd2_holds]
-            + [repr(float(v)) for v in p.point.x]
+            + [repr(float(v)) for v in p.x]
         )
     return buf.getvalue()
 
@@ -157,8 +157,8 @@ def _dispatch(args):
         payload = probe.to_dict()
         payload["point_index"] = args.point
         payload["point"] = {
-            "x": [float(v) for v in target.point.x],
-            "support": support_to_json(target.point.support),
+            "x": [float(v) for v in target.x],
+            "support": support_to_json(target.support),
             "kind": target.kind.value,
         }
         return payload, None
@@ -169,14 +169,10 @@ def _dispatch(args):
     if args.command == "iht":
         inst = _load(args)
         result = iht_solve(inst, [0.0] * inst.n)
-        return {
-            "x": [float(v) for v in result.x.x],
-            "support": support_to_json(result.x.support),
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "final_step": result.final_step,
-            "is_m_stationary": result.is_m_stationary,
-        }, None
+        payload = {f.name: getattr(result, f.name) for f in fields(result)}
+        payload["x"] = [float(v) for v in result.x]
+        payload["support"] = support_to_json(result.support)
+        return payload, None
     raise ValidationError(f"unknown command {args.command!r}")
 
 

@@ -110,8 +110,8 @@ class GenericityReport:
 
 def _point_to_dict(p: StationaryPoint) -> dict:
     return {
-        "x": [float(v) for v in p.point.x],
-        "support": support_to_json(p.point.support),
+        "x": [float(v) for v in p.x],
+        "support": support_to_json(p.support),
         "kind": p.kind.value,
         "value": p.value,
         "nd1": p.nd1_holds,
@@ -277,7 +277,7 @@ def run_genericity_experiment(
         rep = enumerate_stationary(inst)
         all_nondeg = rep.degenerate == 0
         active = not any(
-            p.kind is PointKind.DEGENERATE and len(p.point.support) == s for p in rep.points
+            p.kind is PointKind.DEGENERATE and len(p.support) == s for p in rep.points
         )
         if not (all_nondeg and active and rep.s_regular):
             logger.warning(

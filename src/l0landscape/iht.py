@@ -12,16 +12,21 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteDataError
 from .linalg import largest_eigenvalue_gram
-from .model import FeasiblePoint, Instance, validate_instance
+from .model import Instance, Support, support_of, validate_instance
 from .stationarity import gradient, stationarity_residual
 
-# The iteration stops once a step moves x by at most STEP_TOL * (1 + ||x||).
+# The iteration stops once a step moves x by at most STEP_TOL * (1 + ||x||),
+# or after MAX_ITER steps.
 STEP_TOL = 1e-12
+MAX_ITER = 10_000
 
 
 @dataclass
 class IhtResult:
-    x: FeasiblePoint
+    """The final iterate ``x``, its support under ``zero_tol`` and how the run ended."""
+
+    x: np.ndarray
+    support: Support
     iterations: int
     converged: bool
     final_step: float
@@ -45,12 +50,12 @@ def hard_threshold(x, s: int) -> np.ndarray:
     return out
 
 
-def iht_solve(inst: Instance, x0, max_iter: int = 10_000) -> IhtResult:
+def iht_solve(inst: Instance, x0) -> IhtResult:
     """Run hard-thresholded gradient descent with step 1/L, L = lambda_max(A.T A).
 
     The start is projected onto the feasible set, so the objective is
     nonincreasing along the whole iterate sequence.  The iteration stops when
-    the step shrinks below ``STEP_TOL * (1 + ||x||)`` or ``max_iter`` is hit.
+    the step shrinks below ``STEP_TOL * (1 + ||x||)`` or ``MAX_ITER`` is hit.
     A zero Gram matrix makes the gradient vanish identically, so the projected
     start is returned after zero iterations.  A run only counts as converged
     when the final iterate also passes the stationarity check (gradient on the
@@ -72,7 +77,7 @@ def iht_solve(inst: Instance, x0, max_iter: int = 10_000) -> IhtResult:
     iterations = 0
     final_step = 0.0
     step_met = L <= 0.0  # zero Gram matrix: no step is ever taken
-    for _ in range(0 if step_met else max_iter):
+    for _ in range(0 if step_met else MAX_ITER):
         g = gradient(inst, x)
         x_next = hard_threshold(x - g / L, inst.s)
         final_step = float(np.linalg.norm(x_next - x))
@@ -83,11 +88,12 @@ def iht_solve(inst: Instance, x0, max_iter: int = 10_000) -> IhtResult:
             step_met = True
             break
 
-    fp = FeasiblePoint.from_vector(x, inst.tol.zero_tol)
-    residual = stationarity_residual(inst, fp)
+    support = support_of(x, inst.tol.zero_tol)
+    residual = stationarity_residual(inst, x, support)
     stationary = residual <= 10.0 * inst.tol.stat_tol
     return IhtResult(
-        x=fp,
+        x=x,
+        support=support,
         iterations=iterations,
         converged=step_met and stationary,
         final_step=final_step,

@@ -117,12 +117,7 @@ def _level_counts(inst: Instance, table: dict[Support, SupportSubspace],
     return counts
 
 
-def component_count(
-    inst: Instance,
-    level: float,
-    *,
-    table: dict[Support, SupportSubspace] | None = None,
-) -> int:
+def component_count(inst: Instance, level: float) -> int:
     """Exact number of connected components of the lower level set.
 
     Nodes are the size-s supports whose subspace minimum lies at or below the
@@ -130,16 +125,14 @@ def component_count(
     subspace does too.
     """
     validate_instance(inst)
-    if table is None:
-        table = support_min_table(inst)
-    return _level_counts(inst, table, [level])[0]
+    return _level_counts(inst, support_min_table(inst), [level])[0]
 
 
 def _admissible_range(n: int, s: int, points) -> tuple[int, int]:
     """Admissible change of the component count across the points of one value."""
     lo = hi = 0
     for p in points:
-        cell = cell_attachment(n, s, p.point.sparsity)
+        cell = cell_attachment(n, s, len(p.support))
         if cell.cell_dim == 0:
             lo, hi = lo + cell.cell_count, hi + cell.cell_count
         elif cell.cell_dim == 1:

@@ -1,4 +1,4 @@
-"""Problem data, tolerance policy, supports, and feasible points.
+"""Problem data, tolerance policy, supports and objective values.
 
 The problem under study is sparsity-constrained least squares:
 minimize ``0.5 * ||A x - b||^2`` subject to ``||x||_0 <= s``.  This module is
@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .linalg import default_rank_tol
 
 Support = tuple[int, ...]
 
-_TOLERANCE_KEYS = ("zero_tol", "stat_tol", "rank_tol")
 _TINY = np.finfo(float).tiny  # the smallest normal float64
 
 
@@ -59,6 +58,9 @@ class ToleranceConfig:
         if self.rank_tol is not None:
             return self
         return replace(self, rank_tol=default_rank_tol(rows, cols))
+
+
+_TOLERANCE_KEYS = tuple(f.name for f in fields(ToleranceConfig))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,23 +107,6 @@ def complement_of(support: Support, n: int) -> Support:
     """Sorted indices of {0, ..., n-1} not in ``support``."""
     inside = set(support)
     return tuple(i for i in range(n) if i not in inside)
-
-
-@dataclass(frozen=True, eq=False)
-class FeasiblePoint:
-    """A vector together with its cached support under ``zero_tol``."""
-
-    x: np.ndarray
-    support: Support
-
-    @classmethod
-    def from_vector(cls, x, zero_tol: float) -> "FeasiblePoint":
-        x = np.asarray(x, dtype=float)
-        return cls(x=x, support=support_of(x, zero_tol))
-
-    @property
-    def sparsity(self) -> int:
-        return len(self.support)
 
 
 def residual(inst: Instance, x) -> np.ndarray:
@@ -326,9 +311,5 @@ def instance_to_dict(inst: Instance) -> dict:
         "s": inst.s,
         "A": [[float(v) for v in row] for row in inst.A],
         "b": [float(v) for v in inst.b],
-        "tolerances": {
-            "zero_tol": inst.tol.zero_tol,
-            "stat_tol": inst.tol.stat_tol,
-            "rank_tol": inst.tol.rank_tol,
-        },
+        "tolerances": asdict(inst.tol),
     }

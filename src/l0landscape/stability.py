@@ -146,7 +146,7 @@ def default_probe_epsilon(report: LandscapeReport) -> float:
     """
     if len(report.points) < 2:
         return 1e-2
-    shift, xs = _rescaled(np.array([p.point.x for p in report.points]))
+    shift, xs = _rescaled(np.array([p.x for p in report.points]))
     norms = np.linalg.norm(xs, axis=1)
     order = np.argsort(norms)
     xs, norms = xs[order], norms[order]
@@ -161,13 +161,15 @@ def default_probe_epsilon(report: LandscapeReport) -> float:
     return 0.25 * math.ldexp(gap, shift)
 
 
-def _near_stationary_points(inst: Instance, x_bar: np.ndarray, r: float) -> list[np.ndarray]:
+def _near_stationary_points(inst: Instance, x_bar: np.ndarray,
+                            r: float) -> tuple[list[np.ndarray], list[float]]:
     """The points of ``enumerate_stationary(inst)`` within ``r`` of ``x_bar``.
 
     Solves only the supports that contain ``C = support_of(x_bar, r)`` (see
     the module docstring for why no other support can hold such a point),
     all in one call of the support table's per-size solver, and returns those
-    within ``r`` that ``_fixpoints`` keeps, in its order.  Nothing is classified.
+    within ``r`` that ``_fixpoints`` keeps, in its order, each with its
+    ``_distances`` value to ``x_bar``.  Nothing is classified.
     """
     validate_instance(inst)
     core = support_of(x_bar, r)
@@ -177,8 +179,9 @@ def _near_stationary_points(inst: Instance, x_bar: np.ndarray, r: float) -> list
                   for extra in itertools.combinations(rest, k))
     subs = _solve_supports(inst, candidates, margins=False)
     distance = _distances([sub.argmin for sub in subs], x_bar)
-    near = _fixpoints(sub for sub, d in zip(subs, distance) if d <= r)
-    return [sub.argmin for sub in near]
+    within = {sub.support: d for sub, d in zip(subs, distance) if d <= r}
+    near = _fixpoints(sub for sub in subs if sub.support in within)
+    return [sub.argmin for sub in near], [within[sub.support] for sub in near]
 
 
 def probe_strong_stability(
@@ -199,7 +202,7 @@ def probe_strong_stability(
     (see the module docstring).
     """
     cfg.validate()
-    x_bar = point.point.x
+    x_bar = point.x
     r = 2.0 * cfg.epsilon
     exists_count = unique_count = 0
     sample: list[list[list[float]]] = []
@@ -208,11 +211,11 @@ def probe_strong_stability(
             inst, cfg.delta, spawn_seed(cfg.seed, t), paper_mode=cfg.paper_mode
         )
         try:
-            near = _near_stationary_points(perturbed, x_bar, r)
+            near, distance = _near_stationary_points(perturbed, x_bar, r)
         except NonFiniteDataError as exc:
             raise ValidationError(
                 f"delta={cfg.delta} gives perturbed data outside float64 range: {exc}") from exc
-        exists = any(d <= cfg.epsilon for d in _distances(near, x_bar))
+        exists = any(d <= cfg.epsilon for d in distance)
         exists_count += exists
         unique_count += exists and len(near) == 1
         if t < 10:

@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InfeasiblePointError
-from .model import FeasiblePoint, Instance, Support, residual
+from .model import Instance, Support, residual
 
 
 class PointKind(str, Enum):
@@ -61,6 +61,7 @@ class SupportSubspace:
 class StationaryPoint:
     """An M-stationary point with its ND1/ND2 results and its one verdict, ``kind``.
 
+    ``x`` is the point and ``support`` its support under ``zero_tol``.
     ``nd1_min_abs`` is the smallest gradient magnitude on the off-support
     indices, the ND1 margin; it is infinite when the sparsity constraint is
     active, in which case ND1 holds vacuously.  ``nd1_near_degenerate`` warns
@@ -69,7 +70,8 @@ class StationaryPoint:
     continuum even when both checks hold.
     """
 
-    point: FeasiblePoint
+    x: np.ndarray
+    support: Support
     value: float
     stationarity_residual: float
     nd1_holds: bool
@@ -92,12 +94,12 @@ def gradient(inst: Instance, x) -> np.ndarray:
     return np.matmul(inst.A.T, residual(inst, x)[..., None])[..., 0]
 
 
-def stationarity_residual(inst: Instance, point: FeasiblePoint) -> float:
-    """Max-norm of the gradient restricted to the support (0 for empty support)."""
-    if len(point.support) > inst.s:
-        raise InfeasiblePointError(f"point has {len(point.support)} nonzeros but s={inst.s}")
-    g = gradient(inst, point.x)
-    return float(np.max(np.abs(g[list(point.support)]), initial=0.0))
+def stationarity_residual(inst: Instance, x, support: Support) -> float:
+    """Max-norm of the gradient at ``x`` restricted to ``support`` (0 for empty support)."""
+    if len(support) > inst.s:
+        raise InfeasiblePointError(f"point has {len(support)} nonzeros but s={inst.s}")
+    g = gradient(inst, x)
+    return float(np.max(np.abs(g[list(support)]), initial=0.0))
 
 
 def point_margins(inst: Instance, supports: np.ndarray,
@@ -145,7 +147,8 @@ def classify(inst: Instance, sub: SupportSubspace, on_continuum: bool) -> Statio
     else:
         kind = PointKind.LOWER_ORDER
     return StationaryPoint(
-        point=FeasiblePoint(sub.argmin, sub.support),
+        x=sub.argmin,
+        support=sub.support,
         value=sub.min_value,
         stationarity_residual=sub.stationarity_residual,
         nd1_holds=nd1,

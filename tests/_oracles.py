@@ -30,7 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 from l0landscape import (
-    FeasiblePoint,
     Instance,
     L0LandscapeError,
     PointKind,
@@ -246,7 +245,7 @@ def pseudoinverse_apply(A_S, b) -> np.ndarray:
     return Vt.T @ ((U.T @ b) / sigma)
 
 
-def nd1_vector_projection(inst: Instance, point: FeasiblePoint) -> np.ndarray:
+def nd1_vector_projection(inst: Instance, point) -> np.ndarray:
     """ND1 vector via the orthogonal projector onto the support column span.
 
     Writes the stationary point in closed form and substitutes, giving
@@ -262,18 +261,18 @@ def nd1_vector_projection(inst: Instance, point: FeasiblePoint) -> np.ndarray:
     return -(inst.A[:, list(comp)].T @ (inst.b - projected_b))
 
 
-def is_m_stationary(inst: Instance, point: FeasiblePoint) -> bool:
+def is_m_stationary(inst: Instance, point) -> bool:
     """Whether the gradient vanishes on the support, up to ``stat_tol``."""
-    return stationarity_residual(inst, point) <= inst.tol.stat_tol
+    return stationarity_residual(inst, point.x, point.support) <= inst.tol.stat_tol
 
 
-def nd1_vector_direct(inst: Instance, point: FeasiblePoint) -> np.ndarray:
+def nd1_vector_direct(inst: Instance, point) -> np.ndarray:
     """Gradient entries on the off-support indices, in increasing index order.
 
     Returned for any stationarity level; raises ``NotStationaryError`` unless
     the point is M-stationary.
     """
-    resid = stationarity_residual(inst, point)
+    resid = stationarity_residual(inst, point.x, point.support)
     if resid > inst.tol.stat_tol:
         raise NotStationaryError(
             f"stationarity residual {resid:.3e} exceeds stat_tol {inst.tol.stat_tol:.3e}"
@@ -283,8 +282,8 @@ def nd1_vector_direct(inst: Instance, point: FeasiblePoint) -> np.ndarray:
 
 def near_points_by_enumeration(inst: Instance, x_bar, r: float) -> list[np.ndarray]:
     """Points of the full enumeration within ``r`` of ``x_bar``, in report order."""
-    return [p.point.x for p in enumerate_stationary(inst).points
-            if np.linalg.norm(p.point.x - x_bar) <= r]
+    return [p.x for p in enumerate_stationary(inst).points
+            if np.linalg.norm(p.x - x_bar) <= r]
 
 
 def min_gap_pairwise(points) -> float:

@@ -25,9 +25,9 @@ from l0landscape import (
     probe_strong_stability,
     run_genericity_experiment,
     stationarity_residual,
-    support_min_table,
     sweep_levels,
 )
+from l0landscape.levelsets import _level_counts
 
 from _oracles import grid_components, min_relative_value_gap, random_instance
 
@@ -43,7 +43,7 @@ def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
 
 def _find(report, coords):
     for p in report.points:
-        if np.max(np.abs(p.point.x - np.asarray(coords))) <= COORD_TOL:
+        if np.max(np.abs(p.x - np.asarray(coords))) <= COORD_TOL:
             return p
     return None
 
@@ -193,10 +193,9 @@ def test_criterion_07_level_set_oracle_equivalence():
     comparisons = 0
     for m, n, s in shape_plan:
         inst, levels = _oracle_ready_instance(rng, m, n, s)
-        table = support_min_table(inst)
         for level in levels:
             comparisons += 1
-            exact = component_count(inst, level, table=table)
+            exact = component_count(inst, level)
             flooded = grid_components(inst, level, step=0.01)
             if exact != flooded:
                 mismatches += 1
@@ -232,13 +231,10 @@ def test_criterion_08_sweep_transition_audit():
                 bad += 1
             elif kind is PointKind.LOWER_ORDER and t.delta != 0:
                 bad += 1
-        table = support_min_table(inst)
-        for iv in sweep.intervals:
-            qs = {
-                component_count(inst, iv.lo + f * (iv.hi - iv.lo), table=table)
-                for f in (0.25, 0.5, 0.75)
-            }
-            if qs != {iv.q}:
+        counts = _level_counts(inst, rep.table, [
+            iv.lo + f * (iv.hi - iv.lo) for iv in sweep.intervals for f in (0.25, 0.5, 0.75)])
+        for i, iv in enumerate(sweep.intervals):
+            if set(counts[3 * i:3 * i + 3]) != {iv.q}:
                 bad += 1
     _report(8, "sweep transitions within admissible ranges", bad == 0,
             f"{checked} instances, {bad} violations")
@@ -283,12 +279,12 @@ def test_criterion_10_iht_validity():
             x = hard_threshold(x - gradient(inst, x) / L, s)
             values.append(objective(inst, x))
         monotone = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-        replay_matches = np.max(np.abs(x - result.x.x)) <= 1e-12
+        replay_matches = np.max(np.abs(x - result.x)) <= 1e-12
         if not (monotone and replay_matches):
             failures += 1
         if result.converged:
             converged_runs += 1
-            residual = stationarity_residual(inst, result.x)
+            residual = stationarity_residual(inst, result.x, result.support)
             if residual > 10.0 * inst.tol.stat_tol or not result.is_m_stationary:
                 failures += 1
     ok = failures == 0 and converged_runs > 0

@@ -86,7 +86,7 @@ INVARIANCE_SHAPES = [(5, 7, 3), (4, 7, 2), (5, 8, 3), (6, 9, 3)]
 
 def _support_kinds(A, b, s):
     rep = enumerate_stationary(Instance.from_arrays(A, b, s))
-    return {(p.point.support, p.kind) for p in rep.points}
+    return {(p.support, p.kind) for p in rep.points}
 
 
 @functools.cache
@@ -102,17 +102,17 @@ class TestEnumerateStationary:
         rep = enumerate_stationary(instability_original)
         assert len(rep.points) == 1
         p = rep.points[0]
-        np.testing.assert_allclose(p.point.x, [0.0, 0.0], atol=1e-10)
+        np.testing.assert_allclose(p.x, [0.0, 0.0], atol=1e-10)
         assert p.kind is PointKind.DEGENERATE
         assert not p.nd1_holds
 
     def test_perturbed_instance_has_two_minimizers_and_saddle(self, instability_perturbed):
         rep = enumerate_stationary(instability_perturbed)
         assert len(rep.points) == 3
-        by_support = {p.point.support: p for p in rep.points}
-        np.testing.assert_allclose(by_support[(0,)].point.x, [0.1, 0.0], atol=1e-10)
-        np.testing.assert_allclose(by_support[(1,)].point.x, [0.0, 0.1], atol=1e-10)
-        np.testing.assert_allclose(by_support[()].point.x, [0.0, 0.0], atol=1e-10)
+        by_support = {p.support: p for p in rep.points}
+        np.testing.assert_allclose(by_support[(0,)].x, [0.1, 0.0], atol=1e-10)
+        np.testing.assert_allclose(by_support[(1,)].x, [0.0, 0.1], atol=1e-10)
+        np.testing.assert_allclose(by_support[()].x, [0.0, 0.0], atol=1e-10)
         assert by_support[(0,)].kind is PointKind.LOCAL_MINIMIZER
         assert by_support[(1,)].kind is PointKind.LOCAL_MINIMIZER
         assert by_support[()].kind is PointKind.SADDLE_POINT
@@ -121,16 +121,16 @@ class TestEnumerateStationary:
     def test_one_sided_measurements(self, complementarity_instance):
         rep = enumerate_stationary(complementarity_instance)
         assert len(rep.points) == 2
-        kinds = {p.point.support: p.kind for p in rep.points}
+        kinds = {p.support: p.kind for p in rep.points}
         assert kinds[(0,)] is PointKind.LOCAL_MINIMIZER
         assert kinds[()] is PointKind.DEGENERATE
         np.testing.assert_allclose(
-            [p for p in rep.points if p.point.support == (0,)][0].point.x,
+            [p for p in rep.points if p.support == (0,)][0].x,
             [-1.0, 0.0], atol=1e-10)
 
     def test_points_sorted_by_value_then_support(self, instability_perturbed):
         rep = enumerate_stationary(instability_perturbed)
-        keys = [(p.value, p.point.support) for p in rep.points]
+        keys = [(p.value, p.support) for p in rep.points]
         assert keys == sorted(keys)
 
     def test_every_point_is_stationary(self):
@@ -138,7 +138,7 @@ class TestEnumerateStationary:
         inst = Instance.from_arrays(rng.standard_normal((4, 6)), rng.standard_normal(4), 2)
         rep = enumerate_stationary(inst)
         for p in rep.points:
-            assert is_m_stationary(inst, p.point)
+            assert is_m_stationary(inst, p)
             assert p.stationarity_residual <= inst.tol.stat_tol
 
     def test_resolving_reported_supports_reproduces_points(self):
@@ -146,13 +146,13 @@ class TestEnumerateStationary:
         inst = Instance.from_arrays(rng.standard_normal((4, 6)), rng.standard_normal(4), 2)
         rep = enumerate_stationary(inst)
         for p in rep.points:
-            S = list(p.point.support)
+            S = list(p.support)
             z = solve_normal_equations(inst.A[:, S][np.newaxis], inst.b, inst.tol.rank_tol)[0]
             full = numerical_rank(inst.A[:, S], inst.tol.rank_tol) == len(S)
             assert full
             x = np.zeros(inst.n)
             x[S] = z
-            np.testing.assert_allclose(x, p.point.x, atol=1e-10)
+            np.testing.assert_allclose(x, p.x, atol=1e-10)
 
     def test_point_budget_under_s_regularity(self):
         rng = np.random.default_rng(8)
@@ -172,8 +172,8 @@ class TestEnumerateStationary:
         rep_perm = enumerate_stationary(Instance.from_arrays(A[:, perm], b, 2))
         assert (rep.r, rep.r1) == (rep_perm.r, rep_perm.r1)
         inverse = np.argsort(perm)
-        originals = {tuple(np.round(p.point.x, 9)) for p in rep.points}
-        mapped = {tuple(np.round(p.point.x[inverse], 9)) for p in rep_perm.points}
+        originals = {tuple(np.round(p.x, 9)) for p in rep.points}
+        mapped = {tuple(np.round(p.x[inverse], 9)) for p in rep_perm.points}
         assert originals == mapped
 
     @pytest.mark.parametrize("transform", [
@@ -194,7 +194,7 @@ class TestEnumerateStationary:
     @staticmethod
     def _assert_kinds_match_every_entry_chase(inst, rep):
         kinds, continuum = kinds_by_chasing_every_entry(inst)
-        assert {(p.point.support, p.kind) for p in rep.points} == kinds
+        assert {(p.support, p.kind) for p in rep.points} == kinds
         assert rep.continuum_detected == continuum
 
     def test_zero_column_creates_continuum_certificate(self):
@@ -213,9 +213,9 @@ class TestEnumerateStationary:
         assert rep.continuum_detected
         self._assert_kinds_match_every_entry_chase(inst, rep)
         # the minimum-norm representative on the duplicated pair spreads evenly
-        spread = [p for p in rep.points if p.point.support == (0, 1)]
+        spread = [p for p in rep.points if p.support == (0, 1)]
         assert spread and spread[0].kind is PointKind.DEGENERATE
-        np.testing.assert_allclose(spread[0].point.x, [0.5, 0.5, 0.0], atol=1e-10)
+        np.testing.assert_allclose(spread[0].x, [0.5, 0.5, 0.0], atol=1e-10)
 
     def test_continuum_through_a_representative_under_zero_tol(self):
         # The duplicated pair's minimum-norm solve is 7.5e-10 on each column,
@@ -225,7 +225,7 @@ class TestEnumerateStationary:
         inst = Instance.from_arrays([[10.0, 10.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
                                     [1.5e-8, 1.0, 0.0], 2)
         rep = enumerate_stationary(inst)
-        origin = [p for p in rep.points if p.point.support == ()]
+        origin = [p for p in rep.points if p.support == ()]
         assert origin and origin[0].nd1_holds and origin[0].nd2_holds
         assert origin[0].kind is PointKind.DEGENERATE
         self._assert_kinds_match_every_entry_chase(inst, rep)
@@ -263,7 +263,7 @@ class TestPointIdentity:
             S for S, sub in rep.table.items()
             if support_of(sub.argmin, inst.tol.zero_tol) == S
         }
-        supports = [p.point.support for p in rep.points]
+        supports = [p.support for p in rep.points]
         assert len(supports) == len(set(supports))
         assert set(supports) == fixpoints
 
@@ -317,7 +317,7 @@ class TestPointIdentity:
         rep = enumerate_stationary(inst)
         assert rep.table[(0,)].argmin[0] == inst.tol.zero_tol
         assert not rep.table[(0,)].fixpoint
-        assert [p.point.support for p in rep.points] == [(1,), ()]
+        assert [p.support for p in rep.points] == [(1,), ()]
         self._assert_points_are_fixpoint_supports(inst, rep)
 
     def test_generic_data_needs_no_support_of(self, monkeypatch):
@@ -415,10 +415,10 @@ class TestStackedTable:
         rep = enumerate_stationary(inst)
         assert (rep.degenerate > 0) == (variant != "generic")
         for p in rep.points:
-            U = p.point.support
-            assert p.value == objective(inst, p.point.x)
-            assert p.stationarity_residual == stationarity_residual(inst, p.point)
-            off = gradient(inst, p.point.x)[[i for i in range(inst.n) if i not in U]]
+            U = p.support
+            assert p.value == objective(inst, p.x)
+            assert p.stationarity_residual == stationarity_residual(inst, p.x, p.support)
+            off = gradient(inst, p.x)[[i for i in range(inst.n) if i not in U]]
             if len(U) == inst.s:
                 assert p.nd1_min_abs == np.inf
             else:
@@ -472,7 +472,7 @@ class TestVerdictInvariants:
         rep = enumerate_stationary(inst)
         assert not rep.continuum_detected or rep.degenerate > 0
         assert rep.s_regular or rep.continuum_detected
-        assert () in {p.point.support for p in rep.points}
+        assert () in {p.support for p in rep.points}
         assert rep.hypothesis_violated or not rep.continuum_detected
 
     @pytest.mark.parametrize("scale", [2.0**-20, 1.0, 1e6])

@@ -4,9 +4,14 @@
 rounding.  A float decision ``v > tol`` is pinned only where the exact ``v``
 clears the tolerance by a factor of 100 either way; the other decisions are
 skipped, and so is every fact of a support whose full rank is not certified.
+
+Scaling ``(A, b)`` by ``2^k`` is exact in binary64 and moves no argmin, so
+the scaled points and their margins are pinned bit for bit to the unscaled
+ones; the verdicts that still depend on the data scale are strict xfails.
 """
 
 import collections
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -89,7 +94,7 @@ def test_table_and_points_agree_with_exact_arithmetic(shape, variant, seed):
     tol = inst.tol
     rep = enumerate_stationary(inst)
     exact = exact_table(inst.A, inst.b, inst.s)
-    points = {p.point.support: p for p in rep.points}
+    points = {p.support: p for p in rep.points}
     pinned = collections.Counter()
     certified = set()
     for S, sub in rep.table.items():
@@ -116,7 +121,7 @@ def test_table_and_points_agree_with_exact_arithmetic(shape, variant, seed):
         elif (nd1 := _clear(min(map(abs, ex.off_gradient)), tol.stat_tol)) is not None:
             assert sp.nd1_holds == nd1, S
             pinned["nd1"] += 1
-    ordered = [p.point.support for p in rep.points if p.point.support in certified]
+    ordered = [p.support for p in rep.points if p.support in certified]
     for S, T in itertools.combinations(ordered, 2):
         a, b = exact[S].value, exact[T].value
         if abs(b - a) >= MARGIN * Fraction(VALUE_TIE_REL) * (1 + max(abs(a), abs(b))):
@@ -134,7 +139,7 @@ def test_chase_from_rank_deficient_support_ends_on_its_exact_solve(shape, varian
     inst = landscape_instance(shape, variant, seed)
     zero_tol = inst.tol.zero_tol
     rep = enumerate_stationary(inst)
-    points = {p.point.support: p for p in rep.points}
+    points = {p.support: p for p in rep.points}
     pinned = 0
     for S, ex in exact_table(inst.A, inst.b, inst.s).items():
         if ex.rank == len(S):
@@ -159,8 +164,68 @@ def test_identity_case_has_distinct_exact_values():
     inst = Instance.from_arrays(np.eye(3), b, 2)
     rep = enumerate_stationary(inst)
     exact = exact_table(inst.A, inst.b, inst.s)
-    values = [exact[p.point.support].value for p in rep.points]
+    values = [exact[p.support].value for p in rep.points]
     gaps = [hi - lo for lo, hi in zip(values, values[1:])]
     assert len(values) == 7 and min(gaps) > 0
     assert sorted(gaps)[:3] == [Fraction(b[1]) ** 2 / 2] * 3
     assert rep.hypothesis_violated
+
+
+SCALES = (-40, -20, -10, -5, 5, 10, 20, 40)
+
+# ND1 compares a gradient margin, which scales by 4^k, with the absolute
+# stat_tol, and the value tie band has an absolute term; ROADMAP item 2.
+ND1_SCALE_DOWN = "scaled-down margins fall below stat_tol (ROADMAP item 2)"
+ND1_SCALE_UP = ("margins that are exactly 0, the copied column's, rise above stat_tol "
+                "when scaled up (ROADMAP item 2)")
+TIE_BAND = "scaled-down values fall into the tie band's absolute term (ROADMAP item 2)"
+
+
+def _changes_today(case, k) -> str | None:
+    """Why the kinds or ``hypothesis_violated`` of ``case`` change at ``2^k``, else None."""
+    shape, variant, seed = case
+    if (variant == "generic" and k <= -20 or (shape, variant, seed, k) in {
+            ((4, 7, 2), "generic", 1, -10), ((4, 7, 2), "duplicate-column", 1, -10),
+            ((5, 7, 3), "generic", 1, -10)}):
+        return ND1_SCALE_DOWN
+    if variant == "duplicate-column" and abs(k) >= 20:
+        return ND1_SCALE_DOWN if k < 0 else ND1_SCALE_UP
+    if (shape, variant, seed, k) in {((3, 5, 2), "generic", 1, -10),
+                                     ((5, 7, 3), "generic", 0, -10),
+                                     ((5, 7, 3), "generic", 1, -5)}:
+        return TIE_BAND
+    return None
+
+
+def _pair(case, k, marks=()):
+    shape, variant, seed = case
+    return pytest.param(case, k, marks=marks,
+                        id=f"{'x'.join(map(str, shape))}-{variant}-{seed}-2^{k}")
+
+
+@functools.cache
+def _scaled_report(case, k: int):
+    inst = landscape_instance(*case)
+    return enumerate_stationary(
+        Instance.from_arrays(np.ldexp(inst.A, k), np.ldexp(inst.b, k), inst.s, inst.tol))
+
+
+@pytest.mark.parametrize("case,k", [_pair(case, k) for case in CASES for k in SCALES])
+def test_power_of_two_scaling_is_exact(case, k):
+    rep, scaled = _scaled_report(case, 0), _scaled_report(case, k)
+    factor = 4.0**k
+    assert [q.support for q in scaled.points] == [p.support for p in rep.points]
+    for p, q in zip(rep.points, scaled.points):
+        assert q.x.tobytes() == p.x.tobytes(), p.support
+        assert (q.value, q.stationarity_residual, q.nd1_min_abs) == (
+            factor * p.value, factor * p.stationarity_residual, factor * p.nd1_min_abs), p.support
+
+
+@pytest.mark.parametrize("case,k", [
+    _pair(case, k, pytest.mark.xfail(raises=AssertionError, strict=True, reason=reason))
+    if (reason := _changes_today(case, k)) else _pair(case, k)
+    for case in CASES for k in SCALES])
+def test_power_of_two_scaling_keeps_kinds(case, k):
+    rep, scaled = _scaled_report(case, 0), _scaled_report(case, k)
+    assert [q.kind for q in scaled.points] == [p.kind for p in rep.points]
+    assert scaled.hypothesis_violated == rep.hypothesis_violated

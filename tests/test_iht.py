@@ -13,6 +13,7 @@ from l0landscape import (
     iht_solve,
     objective,
 )
+from l0landscape import iht
 
 from _oracles import is_m_stationary, random_instance
 
@@ -54,26 +55,26 @@ class TestIhtSolve:
         result = iht_solve(saddle_instance, [0.9, 0.1])
         assert result.converged
         assert result.is_m_stationary
-        np.testing.assert_allclose(result.x.x, [1.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(result.x, [1.0, 0.0], atol=1e-9)
 
     def test_never_beats_the_global_optimum(self, instability_perturbed):
         result = iht_solve(instability_perturbed, [0.0, 0.0])
         rep = enumerate_stationary(instability_perturbed)
         best = min(p.value for p in rep.points if p.kind is PointKind.LOCAL_MINIMIZER)
-        achieved = objective(instability_perturbed, result.x.x)
+        achieved = objective(instability_perturbed, result.x)
         assert best == pytest.approx(0.005)
         assert achieved >= best - 1e-15
-        minimizer_supports = {p.point.support for p in rep.points
+        minimizer_supports = {p.support for p in rep.points
                               if p.kind is PointKind.LOCAL_MINIMIZER}
-        assert result.x.support in minimizer_supports
+        assert result.support in minimizer_supports
 
     def test_zero_data_one_step(self):
         inst = Instance.from_arrays(np.eye(2), [0.0, 0.0], 1)
         result = iht_solve(inst, [0.7, 0.0])
-        np.testing.assert_allclose(result.x.x, [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(result.x, [0.0, 0.0], atol=1e-15)
         assert result.converged
         result0 = iht_solve(inst, [0.0, 0.0])
-        np.testing.assert_allclose(result0.x.x, [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(result0.x, [0.0, 0.0], atol=1e-15)
 
     def test_monotone_descent_and_validity(self):
         rng = np.random.default_rng(606)
@@ -93,10 +94,11 @@ class TestIhtSolve:
             result = iht_solve(inst, rng.standard_normal(n))
             if result.converged:
                 assert result.is_m_stationary
-                assert is_m_stationary(inst, result.x)
+                assert is_m_stationary(inst, result)
 
-    def test_stalls_report_non_convergence(self, saddle_instance):
-        result = iht_solve(saddle_instance, [0.9, 0.1], max_iter=1)
+    def test_stalls_report_non_convergence(self, saddle_instance, monkeypatch):
+        monkeypatch.setattr(iht, "MAX_ITER", 1)
+        result = iht_solve(saddle_instance, [0.9, 0.1])
         assert not result.converged
         assert result.iterations == 1
 
@@ -105,8 +107,8 @@ class TestIhtSolve:
         result = iht_solve(instability_perturbed, [0.0, 0.0])
         assert result.converged
         sp = enumerate_stationary(instability_perturbed)
-        kinds = {p.point.support: p.kind for p in sp.points}
-        assert kinds[result.x.support] is PointKind.LOCAL_MINIMIZER
+        kinds = {p.support: p.kind for p in sp.points}
+        assert kinds[result.support] is PointKind.LOCAL_MINIMIZER
 
 
 class TestLandscapeComparison:
@@ -129,9 +131,9 @@ class TestLandscapeComparison:
                 if not result.converged:
                     continue
                 runs += 1
-                value = objective(inst, result.x.x)
-                kind = {p.point.support: p.kind for p in rep.points}.get(
-                    result.x.support)
+                value = objective(inst, result.x)
+                kind = {p.support: p.kind for p in rep.points}.get(
+                    result.support)
                 if kind is PointKind.SADDLE_POINT:
                     saddle_hits += 1
                 if value > best + 1e-9:

@@ -10,6 +10,7 @@ from l0landscape import (
     support_min_table,
     sweep_levels,
 )
+from l0landscape.levelsets import _level_counts
 
 from _oracles import (
     grid_components,
@@ -113,10 +114,9 @@ class TestComponentCount:
         inst = Instance.from_arrays(A, inst.b, s)
         table = support_min_table(inst)
         values = sorted({sub.min_value for sub in table.values()})
-        levels = values + [0.5 * (a + b) for a, b in zip(values, values[1:])]
-        for level in levels:
-            assert component_count(inst, level, table=table) == pairwise_components(
-                inst, level, table), level
+        levels = sorted(values + [0.5 * (a + b) for a, b in zip(values, values[1:])])
+        for level, q in zip(levels, _level_counts(inst, table, levels)):
+            assert q == pairwise_components(inst, level, table), level
 
 
 class TestSweep:
@@ -152,14 +152,11 @@ class TestSweep:
         inst = random_instance(rng, 4, 6, 2)
         rep = enumerate_stationary(inst)
         assert not rep.hypothesis_violated
-        table = support_min_table(inst)
         sweep = sweep_levels(inst, rep)
-        for iv in sweep.intervals:
-            qs = {
-                component_count(inst, iv.lo + f * (iv.hi - iv.lo), table=table)
-                for f in (0.25, 0.5, 0.75)
-            }
-            assert qs == {iv.q}
+        counts = _level_counts(inst, rep.table, [
+            iv.lo + f * (iv.hi - iv.lo) for iv in sweep.intervals for f in (0.25, 0.5, 0.75)])
+        for i, iv in enumerate(sweep.intervals):
+            assert set(counts[3 * i:3 * i + 3]) == {iv.q}
 
     def test_s_one_matches_flood_fill(self):
         # s = 1: every support contains the empty support, so U = () links

@@ -6,7 +6,6 @@ import pytest
 
 from l0landscape import (
     DimensionMismatchError,
-    FeasiblePoint,
     Instance,
     InstanceFormatError,
     MeasurementBoundError,
@@ -118,13 +117,6 @@ class TestValidateInstance:
     def test_rank_tol_resolved_from_shape(self):
         inst = Instance.from_arrays(np.eye(2), [1.0, 1.0], 1)
         assert inst.tol.rank_tol == pytest.approx(2e-10)
-
-
-class TestFeasiblePoint:
-    def test_caches_support(self):
-        fp = FeasiblePoint.from_vector([0.0, 2.0, 1e-12], 1e-9)
-        assert fp.support == (1,)
-        assert fp.sparsity == 1
 
 
 _TOL = ToleranceConfig(rank_tol=1e-10)

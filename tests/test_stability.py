@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from l0landscape import (
-    FeasiblePoint,
     Instance,
     PointKind,
     StabilityProbeConfig,
@@ -30,8 +29,7 @@ from _oracles import (
 
 def report_of(xs):
     """The part of a landscape report that ``default_probe_epsilon`` reads."""
-    return SimpleNamespace(points=[
-        SimpleNamespace(point=FeasiblePoint.from_vector(x, 0.0)) for x in xs])
+    return SimpleNamespace(points=[SimpleNamespace(x=x) for x in xs])
 
 
 def data_distance(a: Instance, b: Instance) -> float:
@@ -162,7 +160,7 @@ class TestAgreementProperty:
             if rep.degenerate or rep.continuum_detected:
                 continue
             min_entry = min(
-                (abs(v) for p in rep.points for v in p.point.x[list(p.point.support)]),
+                (abs(v) for p in rep.points for v in p.x[list(p.support)]),
                 default=1.0,
             )
             min_nd1 = min(
@@ -173,12 +171,12 @@ class TestAgreementProperty:
             # a delta-perturbation moves a stationary point by up to about
             # ||pinv(A_S)|| * (1 + ||x||) * delta, so shrink delta accordingly
             sigma_min = min(
-                (float(np.linalg.svd(inst.A[:, list(p.point.support)],
+                (float(np.linalg.svd(inst.A[:, list(p.support)],
                                      compute_uv=False)[-1])
-                 for p in rep.points if p.point.support),
+                 for p in rep.points if p.support),
                 default=1.0,
             )
-            x_max = max(float(np.linalg.norm(p.point.x)) for p in rep.points)
+            x_max = max(float(np.linalg.norm(p.x)) for p in rep.points)
             delta = min(
                 1e-3 * min(min_entry, min_nd1),
                 0.1 * epsilon * sigma_min / (1.0 + x_max),
@@ -202,10 +200,10 @@ class TestAgreementProperty:
                 perturbed = perturb_instance(inst, 1e-5, spawn_seed(9, trial))
                 nearby = [
                     q for q in enumerate_stationary(perturbed).points
-                    if np.linalg.norm(q.point.x - p.point.x) <= epsilon
+                    if np.linalg.norm(q.x - p.x) <= epsilon
                 ]
                 assert len(nearby) == 1
-                assert nearby[0].point.support == p.point.support
+                assert nearby[0].support == p.support
 
 
 class TestDefaultEpsilon:
@@ -222,14 +220,14 @@ class TestDefaultEpsilon:
     def test_equals_quarter_of_pairwise_min_gap(self, shape, variant, seed):
         rep = enumerate_stationary(landscape_instance(shape, variant, seed))
         assert default_probe_epsilon(rep) == 0.25 * min_gap_pairwise(
-            [p.point.x for p in rep.points])
+            [p.x for p in rep.points])
 
     def test_two_points(self):
         # A zero column collapses its support onto the origin: P = 2.
         rep = enumerate_stationary(Instance.from_arrays([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.5], 1))
         assert len(rep.points) == 2
         assert default_probe_epsilon(rep) == 0.25 * min_gap_pairwise(
-            [p.point.x for p in rep.points]) == 0.25
+            [p.x for p in rep.points]) == 0.25
 
     def test_closest_pair_has_equal_norms(self):
         # The closest pair lies on the unit circle; the origin and the far
@@ -269,13 +267,13 @@ class TestNearStationaryPoints:
     def test_matches_full_enumeration(self, shape, variant, seed):
         inst = landscape_instance(shape, variant, seed)
         rep = enumerate_stationary(inst)
-        xs = [p.point.x for p in rep.points]
+        xs = [p.x for p in rep.points]
         epsilon = default_probe_epsilon(rep)
         # up to three points of every kind, each under both perturbation sizes,
         # at the probe's radius and at one wide enough to hold three more points
         kinds = collections.defaultdict(list)
         for k, p in enumerate(rep.points):
-            kinds[p.kind].append((k, p.point.x))
+            kinds[p.kind].append((k, p.x))
         probed = [kx for points in kinds.values() for kx in points[:3]]
         for k, x_bar in probed:
             wide = sorted(float(np.linalg.norm(x - x_bar)) for x in xs)[min(3, len(xs) - 1)]
@@ -283,20 +281,22 @@ class TestNearStationaryPoints:
                 perturbed = perturb_instance(inst, delta, spawn_seed(seed, k))
                 for r in (2.0 * epsilon, wide):
                     expected = near_points_by_enumeration(perturbed, x_bar, r)
-                    got = _near_stationary_points(perturbed, x_bar, r)
+                    got, distance = _near_stationary_points(perturbed, x_bar, r)
                     assert len(got) == len(expected)
                     assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+                    assert distance == [float(np.linalg.norm(x - x_bar)) for x in got]
 
     def test_two_points_in_range(self, instability_perturbed):
         # The origin lies 0.1 from x_bar = (0.1, 0), inside r = 0.12, although
         # x_bar's nonzero entry is below r: the search must not require it.
         x_bar = np.array([0.1, 0.0])
-        got = _near_stationary_points(instability_perturbed, x_bar, 0.12)
+        got, distance = _near_stationary_points(instability_perturbed, x_bar, 0.12)
         expected = near_points_by_enumeration(instability_perturbed, x_bar, 0.12)
         assert len(got) == len(expected) == 2
+        assert distance == [float(np.linalg.norm(x - x_bar)) for x in got]
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         point = enumerate_stationary(instability_perturbed).points[0]
-        np.testing.assert_array_equal(point.point.x, x_bar)
+        np.testing.assert_array_equal(point.x, x_bar)
         cfg = StabilityProbeConfig(epsilon=0.06, delta=1e-4, trials=5, seed=4)
         probe = probe_strong_stability(instability_perturbed, point, cfg)
         assert probe.exists_count == 5

@@ -1,12 +1,12 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from l0landscape import (
     DimensionMismatchError,
-    FeasiblePoint,
     InfeasiblePointError,
     Instance,
     PointKind,
@@ -17,6 +17,7 @@ from l0landscape import (
     numerical_rank,
     objective,
     support_min_table,
+    support_of,
 )
 
 from _oracles import (
@@ -42,7 +43,9 @@ def test_input_check_raises(saddle_instance, call, error, message):
 
 
 def point(inst, coords):
-    return FeasiblePoint.from_vector(coords, inst.tol.zero_tol)
+    """A vector with its support, as the oracles read a point."""
+    x = np.asarray(coords, dtype=float)
+    return SimpleNamespace(x=x, support=support_of(x, inst.tol.zero_tol))
 
 
 def classified(inst, fp):
@@ -133,8 +136,8 @@ class TestNd1Vectors:
         report = enumerate_stationary(inst)
         assert report.s_regular
         for p in report.points:
-            direct = nd1_vector_direct(inst, p.point)
-            proj = nd1_vector_projection(inst, p.point)
+            direct = nd1_vector_direct(inst, p)
+            proj = nd1_vector_projection(inst, p)
             np.testing.assert_allclose(proj, direct, atol=1e-8)
 
     def test_projection_rejects_rank_deficient_support(self):
@@ -215,10 +218,10 @@ class TestClassify:
         scale = 3.0
         inst_scaled = Instance.from_arrays(scale * A, scale * b, 2)
         for p in report.points:
-            x_perm = p.point.x[perm]
-            sp_perm = classified(inst_perm, FeasiblePoint.from_vector(x_perm, 1e-9))
+            x_perm = p.x[perm]
+            sp_perm = classified(inst_perm, point(inst_perm, x_perm))
             assert sp_perm.kind is p.kind
-            sp_scaled = classified(inst_scaled, p.point)
+            sp_scaled = classified(inst_scaled, p)
             assert sp_scaled.kind is p.kind
             assert sp_scaled.value == pytest.approx(scale**2 * p.value)
 
@@ -226,10 +229,10 @@ class TestClassify:
     def test_enumerated_nd2_is_support_rank_and_value_is_objective(self, shape, variant, seed):
         inst = landscape_instance(shape, variant, seed)
         for p in enumerate_stationary(inst).points:
-            U = list(p.point.support)
+            U = list(p.support)
             full_rank = numerical_rank(inst.A[:, U], inst.tol.rank_tol) == len(U)
             assert p.nd2_holds is full_rank
-            assert p.value == objective(inst, p.point.x)
+            assert p.value == objective(inst, p.x)
 
 
 class TestBehavioralClassification:
@@ -245,10 +248,10 @@ class TestBehavioralClassification:
         saddles = [p for p in report.points if p.kind is PointKind.SADDLE_POINT]
         assert saddles
         for p in saddles:
-            x = p.point.x
+            x = p.x
             t = 1e-4 * (1.0 + float(np.linalg.norm(x)))
             for i in range(inst.n):
-                if i in p.point.support:
+                if i in p.support:
                     continue
                 step = np.zeros(inst.n)
                 step[i] = t
@@ -268,10 +271,10 @@ class TestBehavioralClassification:
         for p in minimizers:
             for _ in range(100):
                 delta = np.zeros(inst.n)
-                raw = rng.standard_normal(len(p.point.support))
+                raw = rng.standard_normal(len(p.support))
                 raw *= rng.uniform(0.0, 1e-3) / max(np.linalg.norm(raw), 1e-12)
-                delta[list(p.point.support)] = raw
-                assert objective(inst, p.point.x + delta) >= p.value - 1e-15
+                delta[list(p.support)] = raw
+                assert objective(inst, p.x + delta) >= p.value - 1e-15
 
 
 class TestCellAttachment:
