@@ -9,7 +9,6 @@ stability under data perturbations.
 
 from .errors import (
     DimensionMismatchError,
-    InfeasiblePointError,
     InstanceFormatError,
     L0LandscapeError,
     MeasurementBoundError,
@@ -43,7 +42,6 @@ from .stationarity import (
     cell_attachment,
     classify,
     gradient,
-    stationarity_residual,
 )
 from .enumeration import (
     GenericityReport,
@@ -57,7 +55,6 @@ from .enumeration import (
 )
 from .levelsets import SweepResult, component_count, sweep_levels
 from .stability import (
-    StabilityProbeConfig,
     StabilityReport,
     StabilityVerdict,
     default_probe_epsilon,
@@ -73,7 +70,6 @@ __all__ = [
     "DimensionMismatchError",
     "GenericityReport",
     "IhtResult",
-    "InfeasiblePointError",
     "Instance",
     "InstanceFormatError",
     "L0LandscapeError",
@@ -82,7 +78,6 @@ __all__ = [
     "NonFiniteDataError",
     "PointKind",
     "SparsityRangeError",
-    "StabilityProbeConfig",
     "StabilityReport",
     "StabilityVerdict",
     "StationaryPoint",
@@ -114,7 +109,6 @@ __all__ = [
     "probe_strong_stability",
     "run_genericity_experiment",
     "solve_normal_equations",
-    "stationarity_residual",
     "support_min_table",
     "support_of",
     "sweep_levels",

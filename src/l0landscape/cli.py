@@ -22,7 +22,7 @@ from .errors import ValidationError
 from .model import ToleranceConfig, load_instance, support_to_json, validate_instance
 from .enumeration import check_s_regularity, enumerate_stationary, run_genericity_experiment
 from .levelsets import sweep_levels
-from .stability import StabilityProbeConfig, default_probe_epsilon, probe_strong_stability
+from .stability import default_probe_epsilon, probe_strong_stability
 from .iht import iht_solve
 
 
@@ -146,21 +146,14 @@ def _dispatch(args):
             )
         target = report.points[args.point]
         epsilon = args.epsilon if args.epsilon is not None else default_probe_epsilon(report)
-        cfg = StabilityProbeConfig(
-            epsilon=epsilon,
-            delta=args.delta if args.delta is not None else 1e-3 * epsilon,
-            trials=args.trials,
-            seed=args.seed,
-            paper_mode=args.paper_mode,
-        )
-        probe = probe_strong_stability(inst, target, cfg)
+        delta = args.delta if args.delta is not None else 1e-3 * epsilon
+        probe = probe_strong_stability(inst, target, epsilon=epsilon, delta=delta,
+                                       trials=args.trials, seed=args.seed,
+                                       paper_mode=args.paper_mode)
         payload = probe.to_dict()
         payload["point_index"] = args.point
-        payload["point"] = {
-            "x": [float(v) for v in target.x],
-            "support": support_to_json(target.support),
-            "kind": target.kind.value,
-        }
+        point = target.to_dict()
+        payload["point"] = {key: point[key] for key in ("x", "support", "kind")}
         return payload, None
     if args.command == "generic":
         tol = ToleranceConfig(**_tolerance_flags(args))

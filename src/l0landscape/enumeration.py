@@ -89,7 +89,7 @@ class LandscapeReport:
     def to_dict(self) -> dict:
         """Every field but ``table``, in field order; ``asdict`` would copy the table."""
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "table"}
-        d["points"] = [_point_to_dict(p) for p in self.points]
+        d["points"] = [p.to_dict() for p in self.points]
         d["s_regularity_witness"] = support_to_json(self.s_regularity_witness)
         return d
 
@@ -106,18 +106,6 @@ class GenericityReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _point_to_dict(p: StationaryPoint) -> dict:
-    return {
-        "x": [float(v) for v in p.x],
-        "support": support_to_json(p.support),
-        "kind": p.kind.value,
-        "value": p.value,
-        "nd1": p.nd1_holds,
-        "nd2": p.nd2_holds,
-        "nd1_near_degenerate": p.nd1_near_degenerate,
-    }
 
 
 def enumerate_supports(n: int, s: int) -> Iterator[Support]:
@@ -269,7 +257,8 @@ def run_genericity_experiment(
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
 
-    def one_trial(t: int) -> tuple[bool, bool, bool]:
+    nondeg_trials = active_trials = regular_trials = 0
+    for t in range(trials):
         rng = rng_for(seed, t)
         A = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
@@ -279,6 +268,9 @@ def run_genericity_experiment(
         active = not any(
             p.kind is PointKind.DEGENERATE and len(p.support) == s for p in rep.points
         )
+        nondeg_trials += all_nondeg
+        active_trials += active
+        regular_trials += rep.s_regular
         if not (all_nondeg and active and rep.s_regular):
             logger.warning(
                 "genericity failure at trial %d (all_nondegenerate=%s, "
@@ -289,15 +281,12 @@ def run_genericity_experiment(
                 rep.s_regular,
                 json.dumps(instance_to_dict(inst)),
             )
-        return all_nondeg, active, rep.s_regular
-
-    outcomes = [one_trial(t) for t in range(trials)]
     if trials == 0:
         return GenericityReport(0, 1.0, 1.0, 1.0, seed)
     return GenericityReport(
         trials=trials,
-        all_nondegenerate_fraction=sum(a for a, _, _ in outcomes) / trials,
-        minimizers_active_fraction=sum(b for _, b, _ in outcomes) / trials,
-        s_regular_fraction=sum(c for _, _, c in outcomes) / trials,
+        all_nondegenerate_fraction=nondeg_trials / trials,
+        minimizers_active_fraction=active_trials / trials,
+        s_regular_fraction=regular_trials / trials,
         seed=seed,
     )

@@ -31,7 +31,3 @@ class ToleranceError(ValidationError):
 
 class InstanceFormatError(ValidationError):
     """An instance file could not be parsed; the message is line-precise."""
-
-
-class InfeasiblePointError(L0LandscapeError):
-    """A point violates the sparsity constraint of the instance."""

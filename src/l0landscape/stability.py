@@ -15,7 +15,8 @@ are the supports ``T`` with ``C <= T`` and ``|T| <= s``; they are solved by
 the support table's own per-size solver, and those within ``r`` go through
 the enumerator's own selector of points and report order, ``_fixpoints``.
 The result is the enumerator's points within ``r``, bit for bit and in
-report order, without classifying any of them.
+report order, without classifying any of them.  Nothing beyond ``r`` is
+seen: a point made degenerate by a farther continuum gets stable evidence.
 """
 
 from __future__ import annotations
@@ -42,32 +43,6 @@ _EXTREME = 2.0**-480
 class StabilityVerdict(str, Enum):
     STABLE = "StableEvidence"
     UNSTABLE = "UnstableEvidence"
-
-
-@dataclass(frozen=True)
-class StabilityProbeConfig:
-    """Probe parameters: locality radius, data radius, trial count, seed.
-
-    ``delta = 0`` is allowed and makes every perturbation the identity.
-    ``paper_mode`` replaces random sampling by the deterministic rank-one
-    perturbation ``b + (delta / sqrt(m)) * ones`` with the matrix unchanged.
-    """
-
-    epsilon: float
-    delta: float
-    trials: int
-    seed: int
-    paper_mode: bool = False
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValidationError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValidationError(f"delta must be finite and nonnegative, got {self.delta}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be at least 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -187,7 +162,12 @@ def _near_stationary_points(inst: Instance, x_bar: np.ndarray,
 def probe_strong_stability(
     inst: Instance,
     point: StationaryPoint,
-    cfg: StabilityProbeConfig,
+    *,
+    epsilon: float,
+    delta: float,
+    trials: int,
+    seed: int,
+    paper_mode: bool = False,
 ) -> StabilityReport:
     """Probe one stationary point against seeded perturbations of radius delta.
 
@@ -200,32 +180,39 @@ def probe_strong_stability(
     ``agreement`` records whether the verdict matches that.  A trial
     solves only the supports that can hold a point within ``2 * epsilon``
     (see the module docstring).
+
+    Trial ``t`` perturbs the data by exactly ``delta`` (0 is the identity)
+    from the sub-seed ``spawn_seed(seed, t)``; ``paper_mode`` shifts ``b``
+    by ``(delta / sqrt(m)) * ones`` instead of a random direction.
     """
-    cfg.validate()
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValidationError(f"delta must be finite and nonnegative, got {delta}")
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     x_bar = point.x
-    r = 2.0 * cfg.epsilon
+    r = 2.0 * epsilon
     exists_count = unique_count = 0
     sample: list[list[list[float]]] = []
-    for t in range(cfg.trials):
-        perturbed = perturb_instance(
-            inst, cfg.delta, spawn_seed(cfg.seed, t), paper_mode=cfg.paper_mode
-        )
+    for t in range(trials):
+        perturbed = perturb_instance(inst, delta, spawn_seed(seed, t), paper_mode=paper_mode)
         try:
             near, distance = _near_stationary_points(perturbed, x_bar, r)
         except NonFiniteDataError as exc:
             raise ValidationError(
-                f"delta={cfg.delta} gives perturbed data outside float64 range: {exc}") from exc
-        exists = any(d <= cfg.epsilon for d in distance)
+                f"delta={delta} gives perturbed data outside float64 range: {exc}") from exc
+        exists = any(d <= epsilon for d in distance)
         exists_count += exists
         unique_count += exists and len(near) == 1
         if t < 10:
             sample.append([[float(v) for v in x] for x in near])
-    verdict = (
-        StabilityVerdict.STABLE if unique_count == cfg.trials else StabilityVerdict.UNSTABLE
-    )
+    verdict = StabilityVerdict.STABLE if unique_count == trials else StabilityVerdict.UNSTABLE
     expected = point.kind is not PointKind.DEGENERATE
     return StabilityReport(
-        trials=cfg.trials,
+        trials=trials,
         exists_count=exists_count,
         unique_count=unique_count,
         verdict=verdict,

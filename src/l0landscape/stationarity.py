@@ -1,4 +1,4 @@
-"""Pointwise tests: M-stationarity, nondegeneracy certificates, classification.
+"""M-stationarity margins, nondegeneracy certificates, classification.
 
 A feasible point is M-stationary when the gradient ``A.T (A x - b)`` vanishes
 on its support.  Nondegeneracy combines two conditions:
@@ -21,7 +21,8 @@ from the point's support-table entry, a :class:`SupportSubspace`: the point,
 its value, the rank verdict that decides ND2 and the two gradient margins.
 The table takes those margins from :func:`point_margins`, which reduces the
 gradients of all points of one support size at once and keeps no gradient;
-the stationarity residual is reported but never gated on.
+the stationarity residual is reported but never gated on.  IHT reads its
+final iterate's residual from the same function: one M-stationarity rule.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InfeasiblePointError
-from .model import Instance, Support, residual
+from .model import Instance, Support, residual, support_to_json
 
 
 class PointKind(str, Enum):
@@ -80,6 +80,17 @@ class StationaryPoint:
     nd2_holds: bool
     kind: PointKind
 
+    def to_dict(self) -> dict:
+        return {
+            "x": [float(v) for v in self.x],
+            "support": support_to_json(self.support),
+            "kind": self.kind.value,
+            "value": self.value,
+            "nd1": self.nd1_holds,
+            "nd2": self.nd2_holds,
+            "nd1_near_degenerate": self.nd1_near_degenerate,
+        }
+
 
 @dataclass(frozen=True)
 class CellAttachment:
@@ -92,14 +103,6 @@ class CellAttachment:
 def gradient(inst: Instance, x) -> np.ndarray:
     """Gradient ``A.T (A x - b)`` at ``x``, or at each row of an ``(N, n)`` stack of points."""
     return np.matmul(inst.A.T, residual(inst, x)[..., None])[..., 0]
-
-
-def stationarity_residual(inst: Instance, x, support: Support) -> float:
-    """Max-norm of the gradient at ``x`` restricted to ``support`` (0 for empty support)."""
-    if len(support) > inst.s:
-        raise InfeasiblePointError(f"point has {len(support)} nonzeros but s={inst.s}")
-    g = gradient(inst, x)
-    return float(np.max(np.abs(g[list(support)]), initial=0.0))
 
 
 def point_margins(inst: Instance, supports: np.ndarray,

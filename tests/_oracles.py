@@ -12,8 +12,9 @@ probe's localized search is checked against a filter over the full
 enumeration, and its default radius against the plain all-pairs minimum gap.
 The enumerator's degenerate points are checked against a chase of every
 table entry, not only the rank-deficient ones, to its fixpoint.
-The M-stationarity test and the direct ND1 vector are written from their
-definitions through the public gradient and stationarity residual.  The
+The stationarity residual, the M-stationarity test and the direct ND1
+vector are written from their definitions, one point at a time, through the
+public gradient; the package takes residuals from a stacked kernel.  The
 errors these oracles raise for a rank-deficient matrix or a non-stationary
 point are defined here, since nothing in the package raises them.
 :func:`exact_table` solves every support in exact rational arithmetic on
@@ -37,7 +38,6 @@ from l0landscape import (
     complement_of,
     enumerate_stationary,
     gradient,
-    stationarity_residual,
     support_min_table,
     support_of,
 )
@@ -259,6 +259,12 @@ def nd1_vector_projection(inst: Instance, point) -> np.ndarray:
     projected_b = A_S @ pseudoinverse_apply(A_S, inst.b)
     comp = complement_of(point.support, inst.n)
     return -(inst.A[:, list(comp)].T @ (inst.b - projected_b))
+
+
+def stationarity_residual(inst: Instance, x, support) -> float:
+    """Max-norm of the gradient at ``x`` restricted to ``support`` (0 for empty support)."""
+    g = gradient(inst, x)
+    return float(np.max(np.abs(g[list(support)]), initial=0.0))
 
 
 def is_m_stationary(inst: Instance, point) -> bool:

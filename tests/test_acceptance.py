@@ -14,7 +14,6 @@ import pytest
 from l0landscape import (
     Instance,
     PointKind,
-    StabilityProbeConfig,
     component_count,
     enumerate_stationary,
     gradient,
@@ -24,12 +23,16 @@ from l0landscape import (
     objective,
     probe_strong_stability,
     run_genericity_experiment,
-    stationarity_residual,
     sweep_levels,
 )
 from l0landscape.levelsets import _level_counts
 
-from _oracles import grid_components, min_relative_value_gap, random_instance
+from _oracles import (
+    grid_components,
+    min_relative_value_gap,
+    random_instance,
+    stationarity_residual,
+)
 
 COORD_TOL = 1e-10
 
@@ -252,8 +255,8 @@ def test_criterion_09_stability_cross_check():
     for i, inst in enumerate(fixtures):
         rep = enumerate_stationary(inst)
         for p in rep.points:
-            cfg = StabilityProbeConfig(epsilon=0.02, delta=1e-3, trials=50, seed=900 + i)
-            probe = probe_strong_stability(inst, p, cfg)
+            probe = probe_strong_stability(inst, p, epsilon=0.02, delta=1e-3, trials=50,
+                                           seed=900 + i)
             probed += 1
             if not probe.agreement:
                 disagreements += 1
@@ -282,10 +285,13 @@ def test_criterion_10_iht_validity():
         replay_matches = np.max(np.abs(x - result.x)) <= 1e-12
         if not (monotone and replay_matches):
             failures += 1
+        # every run's verdict, converged or not, is the pointwise rule's
+        residual = stationarity_residual(inst, result.x, result.support)
+        if result.is_m_stationary != (residual <= 10.0 * inst.tol.stat_tol):
+            failures += 1
         if result.converged:
             converged_runs += 1
-            residual = stationarity_residual(inst, result.x, result.support)
-            if residual > 10.0 * inst.tol.stat_tol or not result.is_m_stationary:
+            if not result.is_m_stationary:
                 failures += 1
     ok = failures == 0 and converged_runs > 0
     _report(10, "IHT runs descend monotonically and land on stationary points",

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import json
 import logging
 import re
 
@@ -16,17 +17,24 @@ from l0landscape import (
     enumerate_stationary,
     enumerate_supports,
     gradient,
+    instance_from_dict,
     numerical_rank,
     objective,
     run_genericity_experiment,
     solve_normal_equations,
-    stationarity_residual,
     support_of,
     sweep_levels,
 )
 from l0landscape import enumeration, levelsets
+from l0landscape.util import rng_for
 
-from _oracles import LANDSCAPES, is_m_stationary, kinds_by_chasing_every_entry, landscape_instance
+from _oracles import (
+    LANDSCAPES,
+    is_m_stationary,
+    kinds_by_chasing_every_entry,
+    landscape_instance,
+    stationarity_residual,
+)
 
 TOL = 1e-10
 
@@ -505,6 +513,33 @@ class TestGenericityExperiment:
         a = run_genericity_experiment(3, 4, 1, trials=25, seed=3)
         b = run_genericity_experiment(3, 4, 1, trials=25, seed=3)
         assert a.to_dict() == b.to_dict()
+
+    def test_every_failing_trial_is_logged_with_its_data(self, caplog):
+        # stat_tol = 10 lies above the ND1 margins of small Gaussian data, so
+        # every trial has a degenerate point and must be logged once.
+        caplog.set_level(logging.WARNING, logger="l0landscape.enumeration")
+        tol = ToleranceConfig(stat_tol=10.0)
+        rep = run_genericity_experiment(3, 5, 2, trials=5, seed=0, tol=tol)
+        assert rep.all_nondegenerate_fraction == 0.0
+        records = [r for r in caplog.records if r.name == "l0landscape.enumeration"]
+        assert [r.levelno for r in records] == [logging.WARNING] * 5
+        for t, record in enumerate(records):
+            index, all_nondeg, active, s_regular, data = record.args
+            inst = instance_from_dict(json.loads(data))
+            rng = rng_for(0, t)
+            np.testing.assert_array_equal(inst.A, rng.standard_normal((3, 5)))
+            np.testing.assert_array_equal(inst.b, rng.standard_normal(3))
+            assert inst.tol == tol.resolved(3, 5)
+            again = enumerate_stationary(inst)
+            verdicts = (again.degenerate == 0,
+                        not any(p.kind is PointKind.DEGENERATE and len(p.support) == 2
+                                for p in again.points),
+                        again.s_regular)
+            assert (index, all_nondeg, active, s_regular) == (t, *verdicts)
+            assert verdicts == (False, True, True)
+            assert record.getMessage().startswith(
+                f"genericity failure at trial {t} (all_nondegenerate=False, "
+                "minimizers_active=True, s_regular=True): {")
 
 
 class TestReportSerialization:

@@ -15,7 +15,7 @@ from l0landscape import (
 )
 from l0landscape import iht
 
-from _oracles import is_m_stationary, random_instance
+from _oracles import is_m_stationary, random_instance, stationarity_residual
 
 
 @pytest.mark.parametrize("x0, error, message", [
@@ -101,6 +101,21 @@ class TestIhtSolve:
         result = iht_solve(saddle_instance, [0.9, 0.1])
         assert not result.converged
         assert result.iterations == 1
+
+    def test_cut_runs_get_the_pointwise_verdict(self, monkeypatch):
+        # Cut at 100 steps, about half of these runs end inside the stationarity
+        # band; the stacked residual must decide each as the pointwise one does.
+        monkeypatch.setattr(iht, "MAX_ITER", 100)
+        rng = np.random.default_rng(4242)
+        verdicts = set()
+        for trial in range(40):
+            m, n, s = [(3, 4, 1), (4, 6, 2), (5, 6, 3)][trial % 3]
+            inst = random_instance(rng, m, n, s)
+            result = iht_solve(inst, rng.standard_normal(n))
+            residual = stationarity_residual(inst, result.x, result.support)
+            assert result.is_m_stationary == (residual <= 10.0 * inst.tol.stat_tol)
+            verdicts.add(result.is_m_stationary)
+        assert verdicts == {True, False}
 
     def test_escapes_the_saddle_from_its_own_basin_edge(self, instability_perturbed):
         # starting exactly at the saddle, the gradient step lands on a minimizer

@@ -7,7 +7,6 @@ import pytest
 from l0landscape import (
     Instance,
     PointKind,
-    StabilityProbeConfig,
     StabilityVerdict,
     ValidationError,
     default_probe_epsilon,
@@ -71,17 +70,15 @@ class TestProbeStrongStability:
 
     def test_degenerate_origin_is_unstable(self, instability_original):
         rep = enumerate_stationary(instability_original)
-        probe = probe_strong_stability(
-            instability_original, rep.points[0], StabilityProbeConfig(**self.CFG))
+        probe = probe_strong_stability(instability_original, rep.points[0], **self.CFG)
         assert probe.verdict is StabilityVerdict.UNSTABLE
         assert not probe.nondegenerate_expected
         assert probe.agreement
 
     def test_degenerate_origin_unstable_in_paper_mode(self, instability_original):
         rep = enumerate_stationary(instability_original)
-        cfg = StabilityProbeConfig(epsilon=0.02, delta=1e-3, trials=5, seed=1,
-                                   paper_mode=True)
-        probe = probe_strong_stability(instability_original, rep.points[0], cfg)
+        probe = probe_strong_stability(instability_original, rep.points[0], epsilon=0.02,
+                                       delta=1e-3, trials=5, seed=1, paper_mode=True)
         assert probe.verdict is StabilityVerdict.UNSTABLE
         assert probe.exists_count == 5  # the bifurcated points stay nearby
         assert probe.unique_count == 0
@@ -90,8 +87,7 @@ class TestProbeStrongStability:
         rep = enumerate_stationary(instability_perturbed)
         assert len(rep.points) == 3
         for p in rep.points:
-            probe = probe_strong_stability(
-                instability_perturbed, p, StabilityProbeConfig(**self.CFG))
+            probe = probe_strong_stability(instability_perturbed, p, **self.CFG)
             assert probe.verdict is StabilityVerdict.STABLE
             assert probe.exists_count == probe.trials
             assert probe.unique_count == probe.trials
@@ -100,8 +96,8 @@ class TestProbeStrongStability:
     def test_zero_delta_counts_everything(self, saddle_instance):
         rep = enumerate_stationary(saddle_instance)
         minimizer = [p for p in rep.points if p.kind is PointKind.LOCAL_MINIMIZER][0]
-        cfg = StabilityProbeConfig(epsilon=0.02, delta=0.0, trials=7, seed=2)
-        probe = probe_strong_stability(saddle_instance, minimizer, cfg)
+        probe = probe_strong_stability(saddle_instance, minimizer, epsilon=0.02, delta=0.0,
+                                       trials=7, seed=2)
         assert probe.exists_count == 7
         assert probe.unique_count == 7
         assert probe.verdict is StabilityVerdict.STABLE
@@ -109,30 +105,32 @@ class TestProbeStrongStability:
     def test_unique_count_never_exceeds_exists_count(self, complementarity_instance):
         rep = enumerate_stationary(complementarity_instance)
         for p in rep.points:
-            probe = probe_strong_stability(
-                complementarity_instance, p, StabilityProbeConfig(**self.CFG))
+            probe = probe_strong_stability(complementarity_instance, p, **self.CFG)
             assert probe.unique_count <= probe.exists_count <= probe.trials
 
     def test_determinism(self, instability_perturbed):
         rep = enumerate_stationary(instability_perturbed)
-        cfg = StabilityProbeConfig(**self.CFG)
-        a = probe_strong_stability(instability_perturbed, rep.points[0], cfg)
-        b = probe_strong_stability(instability_perturbed, rep.points[0], cfg)
+        a = probe_strong_stability(instability_perturbed, rep.points[0], **self.CFG)
+        b = probe_strong_stability(instability_perturbed, rep.points[0], **self.CFG)
         assert a.to_dict() == b.to_dict()
 
     def test_sample_capped_at_ten_trials(self, instability_perturbed):
         rep = enumerate_stationary(instability_perturbed)
-        probe = probe_strong_stability(
-            instability_perturbed, rep.points[0], StabilityProbeConfig(**self.CFG))
+        probe = probe_strong_stability(instability_perturbed, rep.points[0], **self.CFG)
         assert len(probe.perturbed_points_sample) == 10
 
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            StabilityProbeConfig(epsilon=0.0, delta=1e-3, trials=5, seed=1).validate()
-        with pytest.raises(ValidationError):
-            StabilityProbeConfig(epsilon=0.1, delta=-1.0, trials=5, seed=1).validate()
-        with pytest.raises(ValidationError):
-            StabilityProbeConfig(epsilon=0.1, delta=1e-3, trials=0, seed=1).validate()
+    def test_config_validation(self, saddle_instance):
+        # The arguments are checked in the order epsilon, delta, trials, seed.
+        point = enumerate_stationary(saddle_instance).points[0]
+        for epsilon, delta, trials, message in [
+            (0.0, -1.0, 0, "epsilon must be finite and positive, got 0.0"),
+            (0.1, -1.0, 0, "delta must be finite and nonnegative, got -1.0"),
+            (0.1, 1e-3, 0, "trials must be at least 1, got 0"),
+            (0.1, 1e-3, 5, "seed must be nonnegative, got -1"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                probe_strong_stability(saddle_instance, point, epsilon=epsilon, delta=delta,
+                                       trials=trials, seed=-1)
 
     @pytest.mark.parametrize("epsilon, delta, message", [
         (np.inf, 1e-3, "epsilon must be finite and positive, got inf"),
@@ -140,10 +138,11 @@ class TestProbeStrongStability:
         (0.1, np.inf, "delta must be finite and nonnegative, got inf"),
         (0.1, np.nan, "delta must be finite and nonnegative, got nan"),
     ])
-    def test_config_rejects_non_finite_radii(self, epsilon, delta, message):
-        cfg = StabilityProbeConfig(epsilon=epsilon, delta=delta, trials=5, seed=1)
+    def test_config_rejects_non_finite_radii(self, saddle_instance, epsilon, delta, message):
+        point = enumerate_stationary(saddle_instance).points[0]
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            cfg.validate()
+            probe_strong_stability(saddle_instance, point, epsilon=epsilon, delta=delta,
+                                   trials=5, seed=1)
 
 
 class TestAgreementProperty:
@@ -182,9 +181,8 @@ class TestAgreementProperty:
                 0.1 * epsilon * sigma_min / (1.0 + x_max),
             )
             for p in rep.points:
-                cfg = StabilityProbeConfig(
-                    epsilon=epsilon, delta=delta, trials=5, seed=instances_checked)
-                probe = probe_strong_stability(inst, p, cfg)
+                probe = probe_strong_stability(inst, p, epsilon=epsilon, delta=delta, trials=5,
+                                               seed=instances_checked)
                 assert probe.verdict is StabilityVerdict.STABLE
                 assert probe.agreement
             instances_checked += 1
@@ -297,8 +295,8 @@ class TestNearStationaryPoints:
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         point = enumerate_stationary(instability_perturbed).points[0]
         np.testing.assert_array_equal(point.x, x_bar)
-        cfg = StabilityProbeConfig(epsilon=0.06, delta=1e-4, trials=5, seed=4)
-        probe = probe_strong_stability(instability_perturbed, point, cfg)
+        probe = probe_strong_stability(instability_perturbed, point, epsilon=0.06, delta=1e-4,
+                                       trials=5, seed=4)
         assert probe.exists_count == 5
         assert probe.unique_count == 0
         assert all(len(sample) == 2 for sample in probe.perturbed_points_sample)

@@ -7,7 +7,6 @@ import pytest
 
 from l0landscape import (
     DimensionMismatchError,
-    InfeasiblePointError,
     Instance,
     PointKind,
     cell_attachment,
@@ -84,10 +83,6 @@ class TestIsMStationary:
 
     def test_non_stationary_point(self, saddle_instance):
         assert not is_m_stationary(saddle_instance, point(saddle_instance, [0.5, 0.0]))
-
-    def test_infeasible_point_rejected(self, saddle_instance):
-        with pytest.raises(InfeasiblePointError):
-            is_m_stationary(saddle_instance, point(saddle_instance, [1.0, 1.0]))
 
 
 class TestNd1Vectors:
