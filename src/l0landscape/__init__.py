@@ -38,7 +38,6 @@ from .model import (
 from .stationarity import (
     CellAttachment,
     PointKind,
-    StationaryPoint,
     cell_attachment,
     classify,
     gradient,
@@ -80,7 +79,6 @@ __all__ = [
     "SparsityRangeError",
     "StabilityReport",
     "StabilityVerdict",
-    "StationaryPoint",
     "Support",
     "SupportSubspace",
     "SweepResult",

@@ -98,7 +98,7 @@ def _load(args):
 def _points_csv(report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    n = len(report.points[0].x) if report.points else 0
+    n = len(report.points[0].x)
     writer.writerow(["index", "value", "kind", "support", "nd1", "nd2"] +
                     [f"x{i + 1}" for i in range(n)])
     for i, p in enumerate(report.points):

@@ -7,19 +7,20 @@ support size at a time, in blocks of at most ``_BLOCK`` supports, in a few
 stacked calls rather than numpy calls per support: one stacked SVD decides the
 ranks of a block, one call of numpy's least-squares gufunc gives their
 argmins (one LAPACK ``gelsd`` each), one stacked ``objective`` their values,
-and one stacked ``gradient`` over the block's fixpoints gives, through
-``point_margins``, each point's stationarity residual and ND1 margin; no
-gradient is kept.  Each solution is M-stationary by construction because
-its gradient vanishes on the solved support, which contains the solution's
-own support.  Two solutions are the same point exactly when their supports
+one stacked ``gradient`` over the block's fixpoints gives, through
+``point_margins``, each point's stationarity residual and ND1 margin, and
+one ``classify`` call their verdicts; no gradient is kept.  Each solution is
+M-stationary by construction because its gradient vanishes on the solved
+support, which contains the solution's own support.  Two solutions are the same point exactly when their supports
 under ``zero_tol`` agree, so the points are the fixpoints, the supports whose
 solve has exactly that support.  A solve vanishes off its support, so those
 are the supports all of whose solved coefficients exceed ``zero_tol``: one
 mask per block.  ``_fixpoints`` alone selects them, in report order, for the
-enumerator and the stability probe.  ``classify`` certifies each point from
-its entry, so a point's value, margins, ND2 verdict and report order all
-come from its one solve.  Rank-deficient solves certify a continuum of
-stationary points; ``classify`` makes the point each one chases to degenerate.
+enumerator and the stability probe.  A point is its table entry, so its
+value, margins, verdicts and report order all come from its one solve:
+``report.table[p.support] is p``.  Rank-deficient solves certify a continuum
+of stationary points; ``support_min_table`` makes the point each one chases
+to degenerate, so every table carries final kinds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,7 +45,7 @@ from .model import (
     support_to_json,
     validate_instance,
 )
-from .stationarity import PointKind, StationaryPoint, SupportSubspace, classify, point_margins
+from .stationarity import PointKind, SupportSubspace, classify, point_margins
 from .util import rng_for
 
 logger = logging.getLogger(__name__)
@@ -69,10 +70,11 @@ class LandscapeReport:
     and stationary values are pairwise distinct, so ``hypothesis_violated``
     records whenever any of that fails (the verdict is still computed).
     ``table`` holds the subspace minimum of every support of size at most s
-    that the report was derived from; it is not serialized.
+    that the report was derived from; it is not serialized.  The points are
+    its fixpoint entries themselves: ``table[p.support] is p``.
     """
 
-    points: list[StationaryPoint]
+    points: list[SupportSubspace]
     r: int
     r1: int
     lower_order: int
@@ -145,7 +147,8 @@ def _solve_supports(inst: Instance, supports: Iterable[Support],
     calls: one SVD stack for the ranks, one least-squares gufunc call for the
     solves, the argmins as the rows of one ``(N, n)`` block, one stacked
     ``objective`` for the values and one fixpoint mask.  With ``margins``,
-    the fixpoints' gradient margins come from one ``point_margins`` call.
+    the fixpoints' gradient margins come from one ``point_margins`` call and
+    their verdicts from one ``classify`` call; without, they stay ``None``.
     """
     subs = []
     for k, group in itertools.groupby(supports, key=len):
@@ -158,24 +161,40 @@ def _solve_supports(inst: Instance, supports: Iterable[Support],
             fixpoint = (np.abs(Z) > inst.tol.zero_tol).all(axis=1)
             X = np.zeros((len(block), inst.n))
             X[np.arange(len(block))[:, None], index] = Z
-            resid, nd1 = np.full(len(block), None), np.full(len(block), None)
+            point = np.full((5, len(block)), None)
             if margins:
-                resid[fixpoint], nd1[fixpoint] = point_margins(inst, index[fixpoint], X[fixpoint])
+                resid, nd1 = point_margins(inst, index[fixpoint], X[fixpoint])
+                point[:, fixpoint] = (resid, nd1, *classify(inst, k, full_rank[fixpoint], nd1))
             subs += [SupportSubspace(*entry) for entry in zip(
-                block, objective(inst, X).tolist(), X, fixpoint.tolist(), full_rank.tolist(),
-                resid, nd1)]
+                block, X, objective(inst, X).tolist(), fixpoint.tolist(), full_rank.tolist(),
+                *point)]
     return subs
 
 
 def _fixpoints(subs: Iterable[SupportSubspace]) -> list[SupportSubspace]:
-    """The fixpoint entries, in report order (value, support)."""
+    """The fixpoint entries, in report order (value, support).
+
+    Among a full table's entries the empty support is always one: its solve
+    has no coefficients, so none of them is at most ``zero_tol``.
+    """
     return sorted((sub for sub in subs if sub.fixpoint),
-                  key=lambda sub: (sub.min_value, sub.support))
+                  key=lambda sub: (sub.value, sub.support))
 
 
 def support_min_table(inst: Instance) -> dict[Support, SupportSubspace]:
-    """Subspace minima for every support of size at most s, one size at a time."""
-    return {sub.support: sub for sub in _solve_supports(inst, enumerate_supports(inst.n, inst.s))}
+    """Subspace minima for every support of size at most s, with final kinds.
+
+    The point that each rank-deficient solve chases to, through its support
+    map, is degenerate: the continuum the solve certifies passes through it.
+    Each step strictly shrinks the support, so the chase ends in the table.
+    """
+    table = {sub.support: sub for sub in _solve_supports(inst, enumerate_supports(inst.n, inst.s))}
+    for sub in [sub for sub in table.values() if not sub.nd2_holds]:
+        while not sub.fixpoint:
+            sub = table[support_of(sub.x, inst.tol.zero_tol)]
+        if sub.kind is not PointKind.DEGENERATE:
+            table[sub.support] = replace(sub, kind=PointKind.DEGENERATE)
+    return table
 
 
 def values_tie(a: float, b: float) -> bool:
@@ -186,34 +205,20 @@ def values_tie(a: float, b: float) -> bool:
 def enumerate_stationary(inst: Instance) -> LandscapeReport:
     """Enumerate and classify every M-stationary point.
 
-    The points are the table's fixpoints in the order of ``_fixpoints``.  Each
-    is classified from its table entry and whether a continuum passes through
-    it.  The stationarity residual is reported, not gated, so the enumeration
-    never raises on its own solves.
+    The points are the table's fixpoint entries, classified as the table
+    was built, in the order of ``_fixpoints``.  The stationarity residual is
+    reported, not gated, so the enumeration never raises on its own solves.
     """
     validate_instance(inst)
     table = support_min_table(inst)
-
-    # Chase each rank-deficient solve to the fixpoint of its support map and
-    # flag that point: the continuum the solve certifies passes through it.
-    # A solve vanishes off its support, so each step of the chase strictly
-    # shrinks the support; the chase ends and never leaves the table.
-    deficient: set[Support] = set()
-    for sub in table.values():
-        if not sub.full_rank:
-            while not sub.fixpoint:
-                sub = table[support_of(sub.argmin, inst.tol.zero_tol)]
-            deficient.add(sub.support)
-
-    points = [classify(inst, sub, sub.support in deficient)
-              for sub in _fixpoints(table.values())]
+    points = _fixpoints(table.values())
 
     r = sum(p.kind is PointKind.LOCAL_MINIMIZER for p in points)
     r1 = sum(p.kind is PointKind.SADDLE_POINT for p in points)
     lower = sum(p.kind is PointKind.LOWER_ORDER for p in points)
     degen = sum(p.kind is PointKind.DEGENERATE for p in points)
     s_regular, witness = _s_regularity(
-        (S, sub.full_rank) for S, sub in table.items() if len(S) == inst.s)
+        (S, sub.nd2_holds) for S, sub in table.items() if len(S) == inst.s)
     lhs = (inst.n - inst.s) * r1
     rhs = r - 1
     ties = any(values_tie(p.value, q.value) for p, q in zip(points, points[1:]))
@@ -228,7 +233,7 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
         morse_lhs=lhs,
         morse_rhs=rhs,
         morse_holds=lhs >= rhs,
-        continuum_detected=bool(deficient),
+        continuum_detected=not all(sub.nd2_holds for sub in table.values()),
         hypothesis_violated=(not s_regular) or degen > 0 or ties,
         table=table,
     )

@@ -18,10 +18,11 @@ audited jointly by summing the per-point ranges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import Instance, Support, validate_instance
-from .stationarity import PointKind, StationaryPoint, cell_attachment
+from .stationarity import PointKind, cell_attachment
 from .enumeration import LandscapeReport, SupportSubspace, support_min_table, values_tie
 
 # Values within this relative band of the level still count as inside it.
@@ -85,7 +86,7 @@ def _level_counts(inst: Instance, table: dict[Support, SupportSubspace],
     inside the level.  Nodes precede links of equal value.
     """
     supports = [S for S in table if len(S) == inst.s]
-    value = [table[S].min_value for S in supports]
+    value = [table[S].value for S in supports]
     stars: dict[Support, list[int]] = {}
     for i, S in enumerate(supports):
         for k in range(inst.s):
@@ -93,7 +94,7 @@ def _level_counts(inst: Instance, table: dict[Support, SupportSubspace],
     events = [(v, 0, i, i) for i, v in enumerate(value)]
     for U, star in stars.items():
         low = min(star, key=value.__getitem__)
-        events += [(max(table[U].min_value, value[i]), 1, low, i) for i in star if i != low]
+        events += [(max(table[U].value, value[i]), 1, low, i) for i in star if i != low]
     events.sort()
     parent = list(range(len(supports)))
 
@@ -140,9 +141,9 @@ def _admissible_range(n: int, s: int, points) -> tuple[int, int]:
     return lo, hi
 
 
-def _group_values(points) -> list[tuple[float, list[StationaryPoint]]]:
+def _group_values(points) -> list[tuple[float, list[SupportSubspace]]]:
     """Runs of tied values among ``points``, which must come in report order."""
-    groups: list[tuple[float, list[StationaryPoint]]] = []
+    groups: list[tuple[float, list[SupportSubspace]]] = []
     for p in points:
         if groups and values_tie(groups[-1][0], p.value):
             groups[-1][1].append(p)
@@ -156,14 +157,18 @@ def sweep_levels(inst: Instance, report: LandscapeReport) -> SweepResult:
 
     The counts are read from ``report.table``, so ``report`` must be the
     enumeration of ``inst``, whose report order lists its points by value
-    (the empty support is always one).  The audit is not applicable when the
-    report has a degenerate point; the interval counts are still emitted.
+    (the empty support is always one).  The outer intervals are counted at
+    ``-inf``, below every node, and ``+inf``, past every node and link; their
+    printed bounds ``v_min - 1`` and ``v_max + 1`` are nominal.  The audit is
+    not applicable when the report has a degenerate point; the interval
+    counts are still emitted.
     """
     validate_instance(inst)
     groups = _group_values(report.points)
-    bounds = [groups[0][0] - 1.0] + [v for v, _ in groups] + [groups[-1][0] + 1.0]
-    midpoints = [0.5 * (lo + hi) for lo, hi in zip(bounds, bounds[1:])]
-    counts = _level_counts(inst, report.table, midpoints)
+    values = [v for v, _ in groups]
+    bounds = [values[0] - 1.0, *values, values[-1] + 1.0]
+    midpoints = [0.5 * (lo + hi) for lo, hi in zip(values, values[1:])]
+    counts = [0] + _level_counts(inst, report.table, midpoints + [math.inf])
     intervals = [
         SweepInterval(lo=lo, hi=hi, q=q) for (lo, hi), q in zip(zip(bounds, bounds[1:]), counts)
     ]
@@ -176,14 +181,7 @@ def sweep_levels(inst: Instance, report: LandscapeReport) -> SweepResult:
     for i, (value, members) in enumerate(groups):
         delta = counts[i + 1] - counts[i]
         lo, hi = _admissible_range(inst.n, inst.s, members)
-        transitions.append(
-            Transition(
-                value=value,
-                kinds=[p.kind for p in members],
-                delta=delta,
-                admissible_lo=lo,
-                admissible_hi=hi,
-                admissible=lo <= delta <= hi,
-            )
-        )
+        transitions.append(Transition(
+            value=value, kinds=[p.kind for p in members], delta=delta,
+            admissible_lo=lo, admissible_hi=hi, admissible=lo <= delta <= hi))
     return SweepResult(intervals, applicable, transitions, all(t.admissible for t in transitions))

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NonFiniteDataError, ValidationError
 from .model import Instance, complement_of, support_of, validate_instance
 from .enumeration import LandscapeReport, _fixpoints, _solve_supports
-from .stationarity import PointKind, StationaryPoint
+from .stationarity import PointKind, SupportSubspace
 from .util import rng_for, spawn_seed
 
 
@@ -153,15 +153,15 @@ def _near_stationary_points(inst: Instance, x_bar: np.ndarray,
                   for k in range(inst.s - len(core) + 1)
                   for extra in itertools.combinations(rest, k))
     subs = _solve_supports(inst, candidates, margins=False)
-    distance = _distances([sub.argmin for sub in subs], x_bar)
+    distance = _distances([sub.x for sub in subs], x_bar)
     within = {sub.support: d for sub, d in zip(subs, distance) if d <= r}
     near = _fixpoints(sub for sub in subs if sub.support in within)
-    return [sub.argmin for sub in near], [within[sub.support] for sub in near]
+    return [sub.x for sub in near], [within[sub.support] for sub in near]
 
 
 def probe_strong_stability(
     inst: Instance,
-    point: StationaryPoint,
+    point: SupportSubspace,
     *,
     epsilon: float,
     delta: float,

@@ -16,13 +16,13 @@ a continuum of stationary points, are degenerate, with no minimizer/saddle
 label; a point's ``kind`` is its one degeneracy verdict.
 
 The points classified here are least-squares solves of their supports, so
-they are M-stationary by construction.  :func:`classify` reads everything
-from the point's support-table entry, a :class:`SupportSubspace`: the point,
-its value, the rank verdict that decides ND2 and the two gradient margins.
-The table takes those margins from :func:`point_margins`, which reduces the
-gradients of all points of one support size at once and keeps no gradient;
-the stationarity residual is reported but never gated on.  IHT reads its
-final iterate's residual from the same function: one M-stationarity rule.
+they are M-stationary by construction.  A point is its support-table entry,
+a :class:`SupportSubspace`.  The table takes its margins from
+:func:`point_margins`, which reduces the gradients of all points of one
+support size at once and keeps no gradient, and its verdicts from
+:func:`classify`, once per block; the stationarity residual is reported but
+never gated on.  IHT reads its final iterate's residual from the same
+function: one M-stationarity rule.
 """
 
 from __future__ import annotations
@@ -45,40 +45,29 @@ class PointKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SupportSubspace:
-    """Minimum of the objective over the coordinate subspace of one support."""
+    """One support's subspace minimum and, on a fixpoint, the point it is.
 
-    support: Support
-    min_value: float
-    argmin: np.ndarray
-    fixpoint: bool  # every solved coefficient exceeds zero_tol: the argmin is a point
-    full_rank: bool
-    # The margins of a fixpoint's point (see point_margins); None elsewhere.
-    stationarity_residual: float | None = None
-    nd1_min_abs: float | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class StationaryPoint:
-    """An M-stationary point with its ND1/ND2 results and its one verdict, ``kind``.
-
-    ``x`` is the point and ``support`` its support under ``zero_tol``.
-    ``nd1_min_abs`` is the smallest gradient magnitude on the off-support
-    indices, the ND1 margin; it is infinite when the sparsity constraint is
-    active, in which case ND1 holds vacuously.  ``nd1_near_degenerate`` warns
-    that it fell into ``(0, stat_tol]``: ND1 is reported as failed, but the
-    failure is within numerical noise of a pass.  ``kind`` is degenerate on a
-    continuum even when both checks hold.
+    ``x`` minimizes the objective on the coordinate subspace of ``support``,
+    with objective ``value``; ``nd2_holds`` is the support's full-rank
+    verdict.  A ``fixpoint``'s coefficients all exceed ``zero_tol``, so ``x``
+    is a point with exactly this support; only fixpoints set the last five
+    fields.  ``nd1_min_abs``, the ND1 margin, is the smallest off-support
+    gradient magnitude, infinite when ``|support| == s`` makes ND1 vacuous;
+    ``nd1_near_degenerate`` flags a failed margin within ``(0, stat_tol]``,
+    numerical noise of a pass.  ``kind`` is degenerate on a continuum even
+    when both checks hold.
     """
 
-    x: np.ndarray
     support: Support
+    x: np.ndarray
     value: float
-    stationarity_residual: float
-    nd1_holds: bool
-    nd1_min_abs: float
-    nd1_near_degenerate: bool
+    fixpoint: bool
     nd2_holds: bool
-    kind: PointKind
+    stationarity_residual: float | None = None
+    nd1_min_abs: float | None = None
+    nd1_holds: bool | None = None
+    nd1_near_degenerate: bool | None = None
+    kind: PointKind | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -125,41 +114,25 @@ def point_margins(inst: Instance, supports: np.ndarray,
     return resid, G.min(axis=1, where=~on, initial=math.inf)
 
 
-def classify(inst: Instance, sub: SupportSubspace, on_continuum: bool) -> StationaryPoint:
-    """Certify and classify the point of a support-table entry.
+def classify(inst: Instance, k: int, nd2: np.ndarray,
+             nd1_min_abs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ND1 verdicts, near-degenerate flags and kinds of points with support size k.
 
-    ``sub`` is a fixpoint of the table, so its argmin is the point, its
-    ``min_value`` the point's value and its margins the point's; its rank
-    verdict decides ND2.  ND1 uses a strict threshold: entries must exceed
-    ``stat_tol`` in absolute value.  A smallest magnitude in
-    ``(0, stat_tol]`` is a failure with the near-degenerate warning set,
-    since floating point cannot certify exact nonvanishing.  The point is
-    degenerate when ND1 or ND2 fails or when ``on_continuum``, a continuum
-    of stationary points passing through it.  The stationarity residual is
-    reported, never gated on.
+    ``nd2`` and ``nd1_min_abs`` hold the points' rank verdicts and ND1
+    margins.  ND1 uses a strict threshold: entries must exceed ``stat_tol``
+    in absolute value.  A smallest magnitude in ``(0, stat_tol]`` is a
+    failure with the near-degenerate warning set, since floating point
+    cannot certify exact nonvanishing.  A point is degenerate when ND1 or
+    ND2 fails; the support table also makes a point on a continuum
+    degenerate.  The kinds are ``PointKind`` objects in an object array;
+    ``np.where`` would turn this ``str`` enum into numpy strings.
     """
-    k = len(sub.support)
-    min_abs = sub.nd1_min_abs
-    nd1 = min_abs > inst.tol.stat_tol
-    if on_continuum or not (nd1 and sub.full_rank):
-        kind = PointKind.DEGENERATE
-    elif k == inst.s:
-        kind = PointKind.LOCAL_MINIMIZER
-    elif k == inst.s - 1:
-        kind = PointKind.SADDLE_POINT
-    else:
-        kind = PointKind.LOWER_ORDER
-    return StationaryPoint(
-        x=sub.argmin,
-        support=sub.support,
-        value=sub.min_value,
-        stationarity_residual=sub.stationarity_residual,
-        nd1_holds=nd1,
-        nd1_min_abs=min_abs,
-        nd1_near_degenerate=(not nd1) and min_abs > 0.0,
-        nd2_holds=sub.full_rank,
-        kind=kind,
-    )
+    nd1 = nd1_min_abs > inst.tol.stat_tol
+    kind = (PointKind.LOCAL_MINIMIZER if k == inst.s else
+            PointKind.SADDLE_POINT if k == inst.s - 1 else PointKind.LOWER_ORDER)
+    kinds = np.array([kind] * len(nd1), dtype=object)
+    kinds[~(nd1 & nd2)] = PointKind.DEGENERATE
+    return nd1, ~nd1 & (nd1_min_abs > 0.0), kinds
 
 
 def cell_attachment(n: int, s: int, k: int) -> CellAttachment:

@@ -34,7 +34,6 @@ from l0landscape import (
     Instance,
     L0LandscapeError,
     PointKind,
-    classify,
     complement_of,
     enumerate_stationary,
     gradient,
@@ -169,11 +168,11 @@ def pairwise_components(inst: Instance, level: float, table) -> int:
 
     bound = level + LEVEL_BAND_REL * (1.0 + abs(level))
     nodes = [S for S in itertools.combinations(range(inst.n), inst.s)
-             if table[S].min_value <= bound]
+             if table[S].value <= bound]
     if not nodes:
         return 0
     adjacency = np.array([
-        [table[tuple(sorted(set(S) & set(T)))].min_value <= bound for T in nodes]
+        [table[tuple(sorted(set(S) & set(T)))].value <= bound for T in nodes]
         for S in nodes
     ])
     return int(connected_components(adjacency, directed=False)[0])
@@ -303,19 +302,23 @@ def kinds_by_chasing_every_entry(inst: Instance) -> tuple[set, bool]:
     Each entry's solve is followed through the map ``S -> support_of(argmin(S))``
     until the support stops changing; the supports reached are the points, and
     one reached from any rank-deficient entry is degenerate.  The continuum
-    flag is set when any entry is rank deficient.
+    flag is set when any entry is rank deficient.  The other kinds follow
+    from the points' ND1 and ND2 verdicts and support sizes; the table's own
+    ``kind`` is never read.
     """
     table = support_min_table(inst)
     finals: dict = {}
     for S, sub in table.items():
         U = S
-        while (V := support_of(table[U].argmin, inst.tol.zero_tol)) != U:
+        while (V := support_of(table[U].x, inst.tol.zero_tol)) != U:
             U = V
-        finals[U] = finals.get(U, False) or not sub.full_rank
+        finals[U] = finals.get(U, False) or not sub.nd2_holds
+    local = {inst.s: PointKind.LOCAL_MINIMIZER, inst.s - 1: PointKind.SADDLE_POINT}
     kinds = set()
     for U, deficient in finals.items():
-        kind = classify(inst, table[U], False).kind
-        kinds.add((U, PointKind.DEGENERATE if deficient else kind))
+        nondegenerate = table[U].nd1_holds and table[U].nd2_holds and not deficient
+        kinds.add((U, local.get(len(U), PointKind.LOWER_ORDER) if nondegenerate
+                   else PointKind.DEGENERATE))
     return kinds, any(finals.values())
 
 

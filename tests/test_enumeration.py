@@ -22,6 +22,7 @@ from l0landscape import (
     objective,
     run_genericity_experiment,
     solve_normal_equations,
+    support_min_table,
     support_of,
     sweep_levels,
 )
@@ -269,7 +270,7 @@ class TestPointIdentity:
     def _assert_points_are_fixpoint_supports(inst, rep):
         fixpoints = {
             S for S, sub in rep.table.items()
-            if support_of(sub.argmin, inst.tol.zero_tol) == S
+            if support_of(sub.x, inst.tol.zero_tol) == S
         }
         supports = [p.support for p in rep.points]
         assert len(supports) == len(set(supports))
@@ -317,13 +318,13 @@ class TestPointIdentity:
         # with the solve's own support under zero_tol on every entry.
         inst = landscape_instance(shape, variant, seed)
         for S, sub in enumerate_stationary(inst).table.items():
-            assert sub.fixpoint == (support_of(sub.argmin, inst.tol.zero_tol) == S)
+            assert sub.fixpoint == (support_of(sub.x, inst.tol.zero_tol) == S)
 
     def test_coefficient_equal_to_zero_tol_is_not_a_point(self):
         # The solve on (0,) is exactly zero_tol, which both rules treat as zero.
         inst = Instance.from_arrays(np.eye(2), [1e-9, 1.0], 1)
         rep = enumerate_stationary(inst)
-        assert rep.table[(0,)].argmin[0] == inst.tol.zero_tol
+        assert rep.table[(0,)].x[0] == inst.tol.zero_tol
         assert not rep.table[(0,)].fixpoint
         assert [p.support for p in rep.points] == [(1,), ()]
         self._assert_points_are_fixpoint_supports(inst, rep)
@@ -393,7 +394,7 @@ class TestStackedTable:
         table = enumerate_stationary(inst).table
         assert list(table) == list(enumerate_supports(inst.n, inst.s))
         for S, sub in table.items():
-            assert sub.full_rank == (numerical_rank(inst.A[:, S], inst.tol.rank_tol) == len(S))
+            assert sub.nd2_holds == (numerical_rank(inst.A[:, S], inst.tol.rank_tol) == len(S))
 
     @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column"])
     def test_blocks_leave_the_table_unchanged(self, monkeypatch, variant):
@@ -404,10 +405,31 @@ class TestStackedTable:
         assert list(whole) == list(blocked)
         for S, sub in whole.items():
             other = blocked[S]
-            assert sub.argmin.tobytes() == other.argmin.tobytes()
-            assert (sub.min_value, sub.fixpoint, sub.full_rank, sub.stationarity_residual,
-                    sub.nd1_min_abs) == (other.min_value, other.fixpoint, other.full_rank,
+            assert sub.x.tobytes() == other.x.tobytes()
+            assert (sub.value, sub.fixpoint, sub.nd2_holds, sub.stationarity_residual,
+                    sub.nd1_min_abs) == (other.value, other.fixpoint, other.nd2_holds,
                                          other.stationarity_residual, other.nd1_min_abs)
+
+    @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column", "continuum"])
+    def test_one_record_per_support(self, variant):
+        # On "continuum" the origin is degenerate only because the duplicate
+        # columns' continuum reaches it: its own ND1 and ND2 hold.
+        inst = (Instance.from_arrays([[10.0, 10.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+                                     [1.5e-8, 1.0, 0.0], 2) if variant == "continuum"
+                else benchmark_instance((5, 8, 3), variant))
+        rep = enumerate_stationary(inst)
+        assert all(rep.table[p.support] is p for p in rep.points)
+        for sub in rep.table.values():
+            verdicts = (sub.stationarity_residual, sub.nd1_min_abs, sub.nd1_holds,
+                        sub.nd1_near_degenerate, sub.kind)
+            assert [v is not None for v in verdicts] == [sub.fixpoint] * 5, sub.support
+        table = support_min_table(inst)
+        assert [sub.kind for sub in table.values()] == [sub.kind for sub in rep.table.values()]
+        assert rep.continuum_detected == (not all(sub.nd2_holds for sub in rep.table.values()))
+        if variant == "continuum":
+            origin = rep.table[()]
+            assert origin.nd1_holds and origin.nd2_holds
+            assert origin.kind is PointKind.DEGENERATE and rep.continuum_detected
 
     @pytest.mark.parametrize("shape, variant", [
         ((6, 10, 3), "duplicate-column"),

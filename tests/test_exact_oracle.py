@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from l0landscape import Instance, PointKind, enumerate_stationary, support_of
+from l0landscape import Instance, PointKind, enumerate_stationary, support_of, sweep_levels
 from l0landscape.enumeration import VALUE_TIE_REL
 
 from _oracles import exact_table, landscape_instance
@@ -102,7 +102,7 @@ def test_table_and_points_agree_with_exact_arithmetic(shape, variant, seed):
         full = _full_rank(ex, len(S), tol.rank_tol)
         if full is None:
             continue
-        assert sub.full_rank == full, S
+        assert sub.nd2_holds == full, S
         pinned["full_rank"] += 1
         if not full:
             continue
@@ -148,7 +148,7 @@ def test_chase_from_rank_deficient_support_ends_on_its_exact_solve(shape, varian
         if None in nonzero:
             continue
         V = tuple(i for i, keep in zip(S, nonzero) if keep)
-        assert support_of(rep.table[S].argmin, zero_tol) == V, S
+        assert support_of(rep.table[S].x, zero_tol) == V, S
         assert rep.table[V].fixpoint, (S, V)
         assert points[V].kind is PointKind.DEGENERATE, (S, V)
         pinned += 1
@@ -204,10 +204,14 @@ def _pair(case, k, marks=()):
 
 
 @functools.cache
-def _scaled_report(case, k: int):
+def _scaled_instance(case, k: int):
     inst = landscape_instance(*case)
-    return enumerate_stationary(
-        Instance.from_arrays(np.ldexp(inst.A, k), np.ldexp(inst.b, k), inst.s, inst.tol))
+    return Instance.from_arrays(np.ldexp(inst.A, k), np.ldexp(inst.b, k), inst.s, inst.tol)
+
+
+@functools.cache
+def _scaled_report(case, k: int):
+    return enumerate_stationary(_scaled_instance(case, k))
 
 
 @pytest.mark.parametrize("case,k", [_pair(case, k) for case in CASES for k in SCALES])
@@ -229,3 +233,15 @@ def test_power_of_two_scaling_keeps_kinds(case, k):
     rep, scaled = _scaled_report(case, 0), _scaled_report(case, k)
     assert [q.kind for q in scaled.points] == [p.kind for p in rep.points]
     assert scaled.hypothesis_violated == rep.hypothesis_violated
+
+
+@pytest.mark.parametrize("case,k", [_pair(case, k) for case in CASES for k in SCALES
+                                    if k > 0 and not _changes_today(case, k)])
+def test_power_of_two_scaling_keeps_the_sweep(case, k):
+    # The outer intervals are counted at -inf and +inf, not inside their
+    # nominal bounds v_min - 1 and v_max + 1, which a level band of relative
+    # width 1e-12 straddles once the values pass about 5e11.
+    sweeps = [sweep_levels(_scaled_instance(case, j), _scaled_report(case, j)) for j in (0, k)]
+    unscaled, scaled = ([iv.q for iv in sweep.intervals] for sweep in sweeps)
+    assert scaled == unscaled
+    assert sweeps[1].all_admissible == sweeps[0].all_admissible

@@ -23,14 +23,14 @@ from _oracles import (
 class TestSubspaceMin:
     def test_empty_support(self, saddle_instance):
         sub = support_min_table(saddle_instance)[()]
-        assert sub.min_value == pytest.approx(1.0)  # half the squared data norm
-        np.testing.assert_allclose(sub.argmin, [0.0, 0.0])
-        assert sub.full_rank
+        assert sub.value == pytest.approx(1.0)  # half the squared data norm
+        np.testing.assert_allclose(sub.x, [0.0, 0.0])
+        assert sub.nd2_holds
 
     def test_axis_support(self, saddle_instance):
         sub = support_min_table(saddle_instance)[(0,)]
-        assert sub.min_value == pytest.approx(0.5)
-        np.testing.assert_allclose(sub.argmin, [1.0, 0.0])
+        assert sub.value == pytest.approx(0.5)
+        np.testing.assert_allclose(sub.x, [1.0, 0.0])
 
     def test_matches_grid_refinement_oracle(self):
         from _oracles import grid_refine_min
@@ -40,13 +40,13 @@ class TestSubspaceMin:
         S = (1, 3)
         expected_z = grid_refine_min(inst.A[:, list(S)], inst.b)
         sub = support_min_table(inst)[S]
-        np.testing.assert_allclose(sub.argmin[list(S)], expected_z, atol=1e-6)
-        assert sub.min_value == pytest.approx(objective(inst, sub.argmin))
+        np.testing.assert_allclose(sub.x[list(S)], expected_z, atol=1e-6)
+        assert sub.value == pytest.approx(objective(inst, sub.x))
 
     def test_rank_deficient_flagged(self):
         inst = Instance.from_arrays([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.5], 1)
         sub = support_min_table(inst)[(1,)]
-        assert not sub.full_rank
+        assert not sub.nd2_holds
 
 
 class TestComponentCount:
@@ -113,7 +113,7 @@ class TestComponentCount:
             A[:, -1] = A[:, 0]
         inst = Instance.from_arrays(A, inst.b, s)
         table = support_min_table(inst)
-        values = sorted({sub.min_value for sub in table.values()})
+        values = sorted({sub.value for sub in table.values()})
         levels = sorted(values + [0.5 * (a + b) for a, b in zip(values, values[1:])])
         for level, q in zip(levels, _level_counts(inst, table, levels)):
             assert q == pairwise_components(inst, level, table), level

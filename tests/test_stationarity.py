@@ -48,10 +48,11 @@ def point(inst, coords):
 
 
 def classified(inst, fp):
-    """``classify`` of the support-table entry of the stationary point ``fp``."""
+    """The support-table entry of the stationary point ``fp``, verdicts and all."""
     sub = support_min_table(inst)[fp.support]
-    np.testing.assert_allclose(sub.argmin, fp.x, atol=1e-12)
-    return classify(inst, sub, False)
+    np.testing.assert_allclose(sub.x, fp.x, atol=1e-12)
+    assert sub.fixpoint
+    return sub
 
 
 class TestGradient:
@@ -170,6 +171,18 @@ class TestCertify:
 
 
 class TestClassify:
+    def test_one_block_gives_verdicts_and_enum_kinds(self, instability_perturbed):
+        # Margins 0 (exact failure), 5e-9 (near-degenerate), 0.1 (pass) and
+        # 0.1 without full rank, for points with k = s - 1 nonzeros.
+        nd1, near, kinds = classify(instability_perturbed, 0,
+                                    np.array([True, True, True, False]),
+                                    np.array([0.0, 5e-9, 0.1, 0.1]))
+        assert nd1.tolist() == [False, False, True, True]
+        assert near.tolist() == [False, True, False, False]
+        assert [type(kind) for kind in kinds] == [PointKind] * 4
+        assert list(kinds) == [PointKind.DEGENERATE] * 2 + [
+            PointKind.SADDLE_POINT, PointKind.DEGENERATE]
+
     def test_perturbed_minimizer(self, instability_perturbed):
         sp = classified(instability_perturbed, point(instability_perturbed, [0.1, 0.0]))
         assert sp.kind is PointKind.LOCAL_MINIMIZER
@@ -189,14 +202,15 @@ class TestClassify:
         sp = classified(inst, point(inst, [0.0, 0.0, 0.0]))
         assert sp.kind is PointKind.LOWER_ORDER
 
-    @pytest.mark.parametrize("coords, kind", [([0.1, 0.0], PointKind.LOCAL_MINIMIZER),
-                                              ([0.0, 0.0], PointKind.SADDLE_POINT)])
-    def test_on_continuum_is_degenerate_while_local_checks_pass(
-            self, instability_perturbed, coords, kind):
-        sub = support_min_table(instability_perturbed)[point(instability_perturbed, coords).support]
-        assert classify(instability_perturbed, sub, False).kind is kind
-        sp = classify(instability_perturbed, sub, True)
+    def test_on_continuum_is_degenerate_while_local_checks_pass(self):
+        # The duplicate columns' minimum-norm solve (7.5e-10, 7.5e-10) is zero
+        # under zero_tol, so the continuum {(a, 1.5e-9 - a, 0)} reaches the
+        # origin, whose ND1 margin 1.5e-7 and ND2 pass.
+        inst = Instance.from_arrays([[10.0, 10.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+                                    [1.5e-8, 1.0, 0.0], 2)
+        sp = classified(inst, point(inst, [0.0, 0.0, 0.0]))
         assert sp.nd1_holds and sp.nd2_holds
+        assert sp.nd1_min_abs == pytest.approx(1.5e-7)
         assert sp.kind is PointKind.DEGENERATE
 
     @pytest.mark.parametrize("seed", range(5))
