@@ -17,7 +17,10 @@ vector are written from their definitions, one point at a time, through the
 public gradient; the package takes residuals from a stacked kernel.  The
 errors these oracles raise for a rank-deficient matrix or a non-stationary
 point are defined here, since nothing in the package raises them.
-:func:`exact_table` solves every support in exact rational arithmetic on
+:func:`iht_by_formula` is IHT written with the public ``gradient``,
+``hard_threshold`` and ``np.linalg.norm``, the reference that the package's
+loop, written with cheaper calls into the same kernels, must match bit for
+bit.  :func:`exact_table` solves every support in exact rational arithmetic on
 the binary64 data, with no tolerance at all.
 """
 
@@ -31,15 +34,19 @@ from fractions import Fraction
 import numpy as np
 
 from l0landscape import (
+    IhtResult,
     Instance,
     L0LandscapeError,
     PointKind,
     complement_of,
     enumerate_stationary,
     gradient,
+    hard_threshold,
+    largest_eigenvalue_gram,
     support_min_table,
     support_of,
 )
+from l0landscape import iht
 from l0landscape.levelsets import LEVEL_BAND_REL
 
 
@@ -295,6 +302,38 @@ def min_gap_pairwise(points) -> float:
     """Smallest Euclidean distance over all pairs of the given vectors."""
     return min(float(np.linalg.norm(a - b)) for a, b in itertools.combinations(points, 2))
 
+
+def iht_by_formula(inst: Instance, x0) -> IhtResult:
+    """IHT from ``x0`` on ``inst``, each step written as its formula reads.
+
+    The step is ``hard_threshold(x - gradient(x) / L, s)`` and the stop test
+    compares ``np.linalg.norm`` of the step with ``STEP_TOL * (1 + ||x||)``;
+    ``iht.MAX_ITER`` and ``iht.STEP_TOL`` are read at call time, so a patched
+    cap cuts both runs alike.  The verdict takes the pointwise residual.
+    """
+    x = hard_threshold(x0, inst.s)
+    L = largest_eigenvalue_gram(inst.A)
+    L *= 1.0 + 1e-9
+
+    iterations = 0
+    final_step = 0.0
+    step_met = L <= 0.0
+    for _ in range(0 if step_met else iht.MAX_ITER):
+        g = gradient(inst, x)
+        x_next = hard_threshold(x - g / L, inst.s)
+        final_step = float(np.linalg.norm(x_next - x))
+        threshold = iht.STEP_TOL * (1.0 + float(np.linalg.norm(x)))
+        x = x_next
+        iterations += 1
+        if final_step <= threshold:
+            step_met = True
+            break
+
+    support = support_of(x, inst.tol.zero_tol)
+    stationary = stationarity_residual(inst, x, support) <= 10.0 * inst.tol.stat_tol
+    return IhtResult(x=x, support=support, iterations=iterations,
+                     converged=step_met and stationary, final_step=final_step,
+                     is_m_stationary=stationary)
 
 def kinds_by_chasing_every_entry(inst: Instance) -> tuple[set, bool]:
     """Every point's ``(support, kind)`` and the continuum flag, from every table entry.

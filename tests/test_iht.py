@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -15,7 +16,37 @@ from l0landscape import (
 )
 from l0landscape import iht
 
-from _oracles import is_m_stationary, random_instance, stationarity_residual
+from _oracles import iht_by_formula, is_m_stationary, random_instance, stationarity_residual
+
+
+def generated(seed, shape, index=0, variant="generic", order="C"):
+    """Gaussian instance of one seed sequence per (seed, shape, index), or its variant.
+
+    The draw is ``perfbench/instances.generate``'s, so seed 2002 at (7, 12, 4)
+    gives the benchmark's ``iht_ms`` pool.
+    """
+    m, n, s = shape
+    rng = np.random.default_rng(np.random.SeedSequence((seed, m, n, s, index)))
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    if variant == "zero-column":
+        A[:, 0] = 0.0
+    elif variant == "duplicate-column":
+        A[:, -1] = A[:, 0]
+    return Instance.from_arrays(np.asarray(A, order=order), b, s)
+
+
+SHAPES = [(4, 7, 2), (5, 8, 3), (6, 10, 3), (7, 12, 4)]
+VARIANTS = ["generic", "zero-column", "duplicate-column"]
+
+
+def assert_same_run(result, expected):
+    assert result.x.tobytes() == expected.x.tobytes()  # sign bits of zeros included
+    assert result.support == expected.support
+    assert result.iterations == expected.iterations
+    assert result.final_step == expected.final_step
+    assert result.converged == expected.converged
+    assert result.is_m_stationary == expected.is_m_stationary
 
 
 @pytest.mark.parametrize("x0, error, message", [
@@ -124,6 +155,99 @@ class TestIhtSolve:
         sp = enumerate_stationary(instability_perturbed)
         kinds = {p.support: p.kind for p in sp.points}
         assert kinds[result.support] is PointKind.LOCAL_MINIMIZER
+
+
+class TestBitForBit:
+    """The loop's cheaper calls reach the formula's kernels: same bytes, same counts."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_matches_the_formula(self, shape, variant):
+        for index in range(6):
+            inst = generated(7, shape, index, variant)
+            start = np.random.default_rng(index).standard_normal(inst.n)
+            for x0 in (np.zeros(inst.n), start):
+                assert_same_run(iht_solve(inst, x0), iht_by_formula(inst, x0))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_fortran_ordered_data_match_the_formula(self, shape):
+        for index in range(3):
+            inst = generated(7, shape, index, order="F")
+            assert_same_run(iht_solve(inst, np.zeros(inst.n)),
+                            iht_by_formula(inst, np.zeros(inst.n)))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5, 17, 100])
+    def test_cut_runs_match_the_formula(self, monkeypatch, max_iter):
+        # A converged run can absorb a change in the last bits of the step;
+        # runs cut mid-descent cannot, so they pin the step's arithmetic.
+        monkeypatch.setattr(iht, "MAX_ITER", max_iter)
+        for shape in SHAPES:
+            for variant in VARIANTS:
+                for index in range(4):
+                    inst = generated(7, shape, index, variant)
+                    start = np.random.default_rng(index).standard_normal(inst.n)
+                    result = iht_solve(inst, start)
+                    assert result.iterations <= max_iter
+                    assert_same_run(result, iht_by_formula(inst, start))
+
+    @pytest.mark.parametrize("A, b, s", [
+        (np.zeros((3, 4)), [1.0, -2.0, 0.5], 2),
+        (np.arange(12.0).reshape(3, 4), [1.0, -2.0, 0.5], 0),
+    ], ids=["zero-matrix", "s-zero"])
+    def test_edge_cases_match_the_formula(self, A, b, s):
+        inst = Instance.from_arrays(A, b, s)
+        for x0 in ([0.0, 0.0, 0.0, 0.0], [0.3, -0.0, -1.5, 2.0]):
+            assert_same_run(iht_solve(inst, x0), iht_by_formula(inst, x0))
+
+    def test_stop_test_weighs_the_step_against_the_iterate_it_leaves(self):
+        # From zero the first step is b/L = 1e-12 * (1 + 5e-13): above
+        # STEP_TOL * (1 + ||x0||) = 1e-12, within STEP_TOL * (1 + ||x1||).
+        inst = Instance.from_arrays([[1.0, 0.0]], [1.0000000010005e-12], 1)
+        result = iht_solve(inst, [0.0, 0.0])
+        assert result.iterations == 2
+        assert_same_run(result, iht_by_formula(inst, [0.0, 0.0]))
+
+
+POOL_SHAPE = (7, 12, 4)
+SCALES = [-40, -20, -10, -5, 5, 10, 20, 40]
+# Exponents at which the pool's runs flip their convergence verdict.
+SCALE_FLIPS = {10, 20, 40}
+
+
+@functools.cache
+def pool_runs(k: int) -> tuple:
+    """IHT from zero on the 32 seed-2002 (7, 12, 4) instances, (A, b) scaled by 2^k."""
+    runs = []
+    for index in range(32):
+        inst = generated(2002, POOL_SHAPE, index)
+        scaled = Instance.from_arrays(np.ldexp(inst.A, k), np.ldexp(inst.b, k), inst.s)
+        runs.append(iht_solve(scaled, np.zeros(inst.n)))
+    return tuple(runs)
+
+
+class TestScaleGap:
+    """Scaling (A, b) by 2^k is exact and leaves every IHT iterate in place."""
+
+    def test_every_unscaled_run_converges(self):
+        assert all(r.converged for r in pool_runs(0))
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_iterates_are_scale_free(self, k):
+        for scaled, base in zip(pool_runs(k), pool_runs(0)):
+            assert scaled.x.tobytes() == base.x.tobytes()
+            assert scaled.iterations == base.iterations
+            assert scaled.final_step == base.final_step
+
+    @pytest.mark.parametrize("k", [
+        pytest.param(k, marks=pytest.mark.xfail(
+            raises=AssertionError, strict=True,
+            reason="the final residual scales by 4^k, and IHT's stationarity check "
+                   "against 10 * stat_tol is absolute: past k = 5 every run's residual "
+                   "exceeds it, so converged runs are reported as not converged"))
+        if k in SCALE_FLIPS else k
+        for k in SCALES])
+    def test_convergence_verdict_is_scale_free(self, k):
+        assert [r.converged for r in pool_runs(k)] == [r.converged for r in pool_runs(0)]
 
 
 class TestLandscapeComparison:
