@@ -19,7 +19,7 @@ import sys
 from dataclasses import fields, replace
 
 from .errors import ValidationError
-from .model import ToleranceConfig, load_instance, support_to_json, validate_instance
+from .model import ToleranceConfig, load_instance, support_to_json
 from .enumeration import check_s_regularity, enumerate_stationary, run_genericity_experiment
 from .levelsets import sweep_levels
 from .stability import default_probe_epsilon, probe_strong_stability
@@ -128,9 +128,7 @@ def _dispatch(args):
         morse["morse_applicable"] = not report.hypothesis_violated
         return morse, _points_csv(report) if args.csv else None
     if args.command == "regularity":
-        inst = _load(args)
-        validate_instance(inst)
-        s_regular, witness = check_s_regularity(inst.A, inst.s, inst.tol.rank_tol)
+        s_regular, witness = check_s_regularity(_load(args))
         return {"s_regular": s_regular, "witness": support_to_json(witness)}, None
     if args.command == "sweep":
         inst = _load(args)
@@ -163,10 +161,9 @@ def _dispatch(args):
         inst = _load(args)
         result = iht_solve(inst, [0.0] * inst.n)
         payload = {f.name: getattr(result, f.name) for f in fields(result)}
-        payload["x"] = [float(v) for v in result.x]
+        payload["x"] = result.x.tolist()
         payload["support"] = support_to_json(result.support)
         return payload, None
-    raise ValidationError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:

@@ -129,14 +129,12 @@ def _column_stack(A: np.ndarray, supports: np.ndarray | list[Support]) -> np.nda
     return A.T[np.asarray(supports, dtype=int)].transpose(0, 2, 1)
 
 
-def check_s_regularity(A, s: int, rank_tol: float) -> tuple[bool, Support | None]:
-    """Whether every size-s column subset has rank s; returns the first failure."""
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    if not 0 <= s <= min(m, n):
-        raise ValidationError(f"need 0 <= s <= min(m, n), got s={s} for shape {A.shape}")
-    supports = list(itertools.combinations(range(n), s))
-    return _s_regularity(zip(supports, numerical_rank(_column_stack(A, supports), rank_tol) == s))
+def check_s_regularity(inst: Instance) -> tuple[bool, Support | None]:
+    """Whether every size-s column subset of ``inst.A`` has rank s; returns the first failure."""
+    validate_instance(inst)
+    supports = list(itertools.combinations(range(inst.n), inst.s))
+    ranks = numerical_rank(_column_stack(inst.A, supports), inst.tol.rank_tol)
+    return _s_regularity(zip(supports, ranks == inst.s))
 
 
 def _solve_supports(inst: Instance, supports: Iterable[Support],

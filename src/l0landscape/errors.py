@@ -18,7 +18,7 @@ class NonFiniteDataError(ValidationError):
 
 
 class SparsityRangeError(ValidationError):
-    """The sparsity bound s lies outside {0, ..., n-1}."""
+    """The sparsity bound s is not an integer in {0, ..., n-1}."""
 
 
 class MeasurementBoundError(ValidationError):

@@ -13,9 +13,8 @@ as ``stationarity.gradient``'s ``matmul``, ``np.argsort`` and
 cost, and computes each iterate's norm once.  The iterates are bit for bit
 those of the formula written with the public functions:
 ``tests/test_iht.py::TestBitForBit`` compares the two, byte for byte, on
-converged and on cut runs, with ``A`` in C or Fortran order.  (An ``A`` that
-BLAS cannot address, such as a strided view, is the exception: ``matmul``
-runs numpy's own loop on it, ``dot`` a BLAS copy.)
+converged and on cut runs.  ``Instance.from_arrays`` stores ``A`` in C
+order, so the bits do not depend on the layout the caller gave.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ def iht_solve(inst: Instance, x0) -> IhtResult:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (inst.n,):
         raise DimensionMismatchError(f"x0 must have length {inst.n}, got shape {x0.shape}")
-    if x0.size and not np.isfinite(x0).all():
+    if not np.isfinite(x0).all():
         raise NonFiniteDataError("x0 contains non-finite entries")
 
     A, b, s = inst.A, inst.b, inst.s

@@ -29,7 +29,7 @@ def _as_finite(a, ndims: tuple[int, ...], name: str) -> np.ndarray:
     if a.ndim not in ndims:
         dims = " or ".join(map(str, ndims))
         raise DimensionMismatchError(f"{name} must be {dims}-dimensional, got ndim={a.ndim}")
-    if a.size and not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         raise NonFiniteDataError(f"{name} contains non-finite entries")
     return a
 

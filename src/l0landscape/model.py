@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -65,7 +66,11 @@ _TOLERANCE_KEYS = tuple(f.name for f in fields(ToleranceConfig))
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """Immutable problem data ``(A, b, s)`` plus the tolerance policy."""
+    """Immutable problem data ``(A, b, s)`` plus the tolerance policy.
+
+    ``from_arrays`` stores ``A`` and ``b`` as C-ordered float64 and ``s`` as an
+    ``int``, so no result depends on the memory layout or type of the input.
+    """
 
     A: np.ndarray
     b: np.ndarray
@@ -82,12 +87,16 @@ class Instance:
 
     @classmethod
     def from_arrays(cls, A, b, s: int, tol: ToleranceConfig | None = None) -> "Instance":
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
+        A = np.asarray(A, dtype=float, order="C")
+        b = np.asarray(b, dtype=float, order="C")
         if A.ndim != 2:
             raise DimensionMismatchError(f"A must be 2-dimensional, got ndim={A.ndim}")
+        try:
+            s = operator.index(s)
+        except TypeError as exc:
+            raise SparsityRangeError(f"s must be an integer, got {s!r}") from exc
         tol = (tol or ToleranceConfig()).resolved(*A.shape)
-        return cls(A=A, b=b, s=int(s), tol=tol)
+        return cls(A=A, b=b, s=s, tol=tol)
 
 
 def support_of(x, zero_tol: float) -> Support:
@@ -140,9 +149,9 @@ def validate_instance(inst: Instance) -> None:
         raise DimensionMismatchError(f"A must be nonempty, got shape {A.shape}")
     if b.shape != (m,):
         raise DimensionMismatchError(f"b must have length m={m}, got shape {b.shape}")
-    if A.size and not np.isfinite(A).all():
+    if not np.isfinite(A).all():
         raise NonFiniteDataError("A contains non-finite entries")
-    if b.size and not np.isfinite(b).all():
+    if not np.isfinite(b).all():
         raise NonFiniteDataError("b contains non-finite entries")
     # Every stationary value is at most ||b||^2 / 2 and every gradient entry
     # at most ||A||_F ||b||, so these bounds keep all reported numbers finite.
@@ -163,8 +172,8 @@ def validate_instance(inst: Instance) -> None:
         if A[:, j].any():
             raise NonFiniteDataError(
                 f"the squared norm of column {j + 1} of A underflows float64; rescale the data")
-    if not isinstance(s, (int, np.integer)) or not 0 <= s <= n - 1:
-        raise SparsityRangeError(f"s must lie in {{0, ..., n-1}} = {{0, ..., {n - 1}}}, got {s}")
+    if not isinstance(s, int) or not 0 <= s <= n - 1:
+        raise SparsityRangeError(f"s must lie in {{0, ..., n-1}} = {{0, ..., {n - 1}}}, got {s!r}")
     if s > m:
         raise MeasurementBoundError(f"s={s} exceeds the number of measurements m={m}")
     t = inst.tol
@@ -309,7 +318,7 @@ def instance_to_dict(inst: Instance) -> dict:
         "m": inst.m,
         "n": inst.n,
         "s": inst.s,
-        "A": [[float(v) for v in row] for row in inst.A],
-        "b": [float(v) for v in inst.b],
+        "A": inst.A.tolist(),
+        "b": inst.b.tolist(),
         "tolerances": asdict(inst.tol),
     }

@@ -35,11 +35,6 @@ from .stationarity import PointKind, SupportSubspace
 from .util import rng_for, spawn_seed
 
 
-# Coefficients of magnitude in [_EXTREME, 1 / _EXTREME] have sums of squares
-# well within float64; _rescaled scales others by a power of two.
-_EXTREME = 2.0**-480
-
-
 class StabilityVerdict(str, Enum):
     STABLE = "StableEvidence"
     UNSTABLE = "UnstableEvidence"
@@ -93,11 +88,10 @@ def _rescaled(xs: np.ndarray) -> tuple[int, np.ndarray]:
 
     Sums of squares of coefficients, and of their differences, overflow
     float64 from magnitudes near ``1e154`` on and underflow below about
-    ``1e-154``.  Scaled, the largest magnitude lies in ``[0.5, 1)``; the
-    shift is 0, so nothing changes, when it lies in ``[_EXTREME, 1 / _EXTREME]``.
+    ``1e-154``.  The shift is the binary exponent of the largest magnitude,
+    so that magnitude lands in ``[0.5, 1)``; all zeros have shift 0.
     """
-    top = float(np.max(np.abs(xs), initial=0.0))
-    shift = 0 if top == 0.0 or _EXTREME <= top <= 1.0 / _EXTREME else math.frexp(top)[1]
+    shift = math.frexp(float(np.max(np.abs(xs), initial=0.0)))[1]
     return shift, np.ldexp(xs, -shift)
 
 
@@ -116,7 +110,7 @@ def default_probe_epsilon(report: LandscapeReport) -> float:
     rounded norms.  ``np.linalg.norm`` is taken only within a relative ``1e-9``
     of a window's smallest squared distance, far wider than their rounding, so
     the result is the all-pairs minimum of the ``norm`` values exactly.
-    Extreme coefficients are first scaled by an exact power of two
+    The coefficients are first scaled by an exact power of two
     (``_rescaled``), and the gap scaled back.
     """
     if len(report.points) < 2:
@@ -208,7 +202,7 @@ def probe_strong_stability(
         exists_count += exists
         unique_count += exists and len(near) == 1
         if t < 10:
-            sample.append([[float(v) for v in x] for x in near])
+            sample.append([x.tolist() for x in near])
     verdict = StabilityVerdict.STABLE if unique_count == trials else StabilityVerdict.UNSTABLE
     expected = point.kind is not PointKind.DEGENERATE
     return StabilityReport(

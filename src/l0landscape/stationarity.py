@@ -71,7 +71,7 @@ class SupportSubspace:
 
     def to_dict(self) -> dict:
         return {
-            "x": [float(v) for v in self.x],
+            "x": self.x.tolist(),
             "support": support_to_json(self.support),
             "kind": self.kind.value,
             "value": self.value,

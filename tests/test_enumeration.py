@@ -40,9 +40,15 @@ from _oracles import (
 TOL = 1e-10
 
 
+def s_regularity(A, s):
+    """``check_s_regularity`` on ``A`` with ``b = 0`` and rank tolerance ``TOL``."""
+    return check_s_regularity(
+        Instance.from_arrays(A, np.zeros(len(A)), s, ToleranceConfig(rank_tol=TOL)))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: list(enumerate_supports(3, 4)), "need 0 <= s <= n, got n=3, s=4"),
-    (lambda: check_s_regularity(np.ones((2, 3)), 3, TOL), "need 0 <= s <= min(m, n), got s=3"),
+    (lambda: s_regularity(np.ones((2, 3)), 3), "s must lie in {0, ..., n-1} = {0, ..., 2}, got 3"),
 ], ids=["enumerate_supports", "check_s_regularity"])
 def test_input_check_raises(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
@@ -368,8 +374,7 @@ class TestOneSolvePerSupport:
         sizes.clear()
         sweep_levels(inst, report)
         assert sizes == []
-        assert (report.s_regular, report.s_regularity_witness) == check_s_regularity(
-            inst.A, inst.s, inst.tol.rank_tol)
+        assert (report.s_regular, report.s_regularity_witness) == check_s_regularity(inst)
 
 
 def benchmark_instance(shape, variant, seed=0):
@@ -460,27 +465,27 @@ class TestStackedTable:
 
 class TestSRegularity:
     def test_identity(self):
-        assert check_s_regularity(np.eye(2), 1, TOL) == (True, None)
+        assert s_regularity(np.eye(2), 1) == (True, None)
 
     def test_zero_column_witness(self):
-        ok, witness = check_s_regularity(np.array([[1.0, 0.0], [0.0, 0.0]]), 1, TOL)
+        ok, witness = s_regularity([[1.0, 0.0], [0.0, 0.0]], 1)
         assert not ok
         assert witness == (1,)
 
     def test_witness_is_lexicographically_first(self):
         A = np.zeros((2, 3))
         A[0, 2] = 1.0
-        ok, witness = check_s_regularity(A, 1, TOL)
+        ok, witness = s_regularity(A, 1)
         assert not ok
         assert witness == (0,)
 
     def test_s_zero_trivially_regular(self):
-        assert check_s_regularity(np.zeros((2, 2)), 0, TOL) == (True, None)
+        assert s_regularity(np.zeros((2, 2)), 0) == (True, None)
 
     def test_random_gaussian_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(42)
         A = rng.standard_normal((4, 6))
-        ok, witness = check_s_regularity(A, 2, TOL)
+        ok, witness = s_regularity(A, 2)
         oracle = all(
             numerical_rank(A[:, list(S)], TOL) == 2
             for S in itertools.combinations(range(6), 2)

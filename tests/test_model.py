@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from l0landscape import (
     SparsityRangeError,
     ToleranceConfig,
     ToleranceError,
+    enumerate_stationary,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     objective,
+    run_genericity_experiment,
     support_of,
+    sweep_levels,
     validate_instance,
 )
 
@@ -132,11 +136,46 @@ _TOL = ToleranceConfig(rank_tol=1e-10)
     (lambda: validate_instance(Instance(np.eye(2), np.ones(2), 1, ToleranceConfig())),
      ToleranceError, "rank_tol is unresolved"),
     (lambda: instance_from_dict([]), InstanceFormatError, "instance JSON must be an object"),
+    (lambda: Instance.from_arrays(np.eye(3), np.ones(3), 1.9), SparsityRangeError,
+     "s must be an integer, got 1.9"),
+    (lambda: run_genericity_experiment(4, 6, 2.7, 2, 0), SparsityRangeError,
+     "s must be an integer, got 2.7"),
+    (lambda: validate_instance(replace(Instance.from_arrays(np.eye(3), np.ones(3), 2),
+                                       s=np.int64(2))),
+     SparsityRangeError, "s must lie in {0, ..., n-1} = {0, ..., 2}, got np.int64(2)"),
 ], ids=["from_arrays-1d", "validate-1d", "validate-empty", "validate-unresolved",
-        "from_dict-list"])
+        "from_dict-list", "from_arrays-float-s", "genericity-float-s", "validate-numpy-integer-s"])
 def test_input_check_raises(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+class TestOneForm:
+    """``from_arrays`` stores C-ordered float64 data and an ``int`` s, whatever it is given."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column"])
+    def test_analysis_does_not_depend_on_memory_layout(self, variant, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((6, 10))
+        b = rng.standard_normal(6)
+        if variant == "zero-column":
+            A[:, 0] = 0.0
+        elif variant == "duplicate-column":
+            A[:, -1] = A[:, 0]
+        reports = []
+        for data in (A, np.asfortranarray(A), np.repeat(A, 2, axis=1)[:, ::2]):
+            inst = Instance.from_arrays(data, b, 3)
+            assert inst.A.flags.c_contiguous
+            report = enumerate_stationary(inst)
+            reports.append(json.dumps([report.to_dict(), sweep_levels(inst, report).to_dict()]))
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    def test_numpy_integer_s_becomes_int(self):
+        inst = Instance.from_arrays(np.eye(3), [1.0, 0.5, 0.25], np.int64(2))
+        assert type(inst.s) is int
+        assert sweep_levels(inst, enumerate_stationary(inst)).to_dict()
 
 
 class TestInstanceFiles:
