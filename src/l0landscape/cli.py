@@ -4,7 +4,10 @@ Exit codes: 0 on success, 2 on invalid input (bad flags, unreadable or
 malformed instance files, violated instance invariants, a report path that
 cannot be written), 1 on internal errors.  Output is deterministic
 byte-for-byte for fixed inputs and seeds; pass ``--timestamp`` to include a
-wall-clock field.
+wall-clock field.  Every JSON report is ``writer.dumps(payload) + "\n"``,
+which is exactly ``json.dumps(payload, indent=2, allow_nan=False) + "\n"``;
+``analyze`` hands the writer its points as records, which write themselves.
+A non-finite number in a report is an internal error.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ import csv
 import datetime
 import functools
 import io
-import json
 import sys
 from dataclasses import fields, replace
 
+from . import writer
 from .errors import ValidationError
 from .model import ToleranceConfig, load_instance, support_to_json
 from .enumeration import check_s_regularity, enumerate_stationary, run_genericity_experiment
@@ -106,7 +109,7 @@ def _points_csv(report) -> str:
             [i, repr(p.value), p.kind.value,
              ";".join(map(str, support_to_json(p.support))),
              p.nd1_holds, p.nd2_holds]
-            + [repr(float(v)) for v in p.x]
+            + [repr(v) for v in p.x.tolist()]
         )
     return buf.getvalue()
 
@@ -124,7 +127,7 @@ def _dispatch(args):
     """Return (payload_dict, csv_text_or_None) for the selected command."""
     if args.command == "analyze":
         report = enumerate_stationary(_load(args))
-        morse = dict(report.to_dict())
+        morse = report.to_records()
         morse["morse_applicable"] = not report.hypothesis_violated
         return morse, _points_csv(report) if args.csv else None
     if args.command == "regularity":
@@ -176,7 +179,7 @@ def main(argv=None) -> int:
             if args.timestamp:
                 payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
             # A non-finite number is an internal error, never printed as NaN or Infinity.
-            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+            text = writer.dumps(payload) + "\n"
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

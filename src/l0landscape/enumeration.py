@@ -46,7 +46,7 @@ from .model import (
     validate_instance,
 )
 from .stationarity import PointKind, SupportSubspace, classify, point_margins
-from .util import rng_for
+from .util import integer, rng_for
 
 logger = logging.getLogger(__name__)
 
@@ -90,8 +90,13 @@ class LandscapeReport:
 
     def to_dict(self) -> dict:
         """Every field but ``table``, in field order; ``asdict`` would copy the table."""
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "table"}
+        d = self.to_records()
         d["points"] = [p.to_dict() for p in self.points]
+        return d
+
+    def to_records(self) -> dict:
+        """``to_dict`` with the points as the records themselves, for ``writer.dumps``."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "table"}
         d["s_regularity_witness"] = support_to_json(self.s_regularity_witness)
         return d
 
@@ -252,8 +257,11 @@ def run_genericity_experiment(
     generator derived deterministically from (seed, trial index), enumerates
     the landscape, and records whether (a) every point is nondegenerate,
     (b) no full-support point is degenerate, and (c) A is s-regular.  Any
-    failing trial is logged with its instance data for inspection.
+    failing trial is logged with its instance data for inspection.  ``m``,
+    ``n``, ``s``, ``trials`` and ``seed`` must be integers (``operator.index``).
     """
+    m, n, trials, seed = (integer(value, name) for value, name in
+                          ((m, "m"), (n, "n"), (trials, "trials"), (seed, "seed")))
     validate_instance(Instance.from_arrays(np.zeros((m, n)), np.zeros(m), s, tol))
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     ToleranceError,
 )
 from .linalg import default_rank_tol
+from .util import integer
 
 Support = tuple[int, ...]
 
@@ -91,10 +91,7 @@ class Instance:
         b = np.asarray(b, dtype=float, order="C")
         if A.ndim != 2:
             raise DimensionMismatchError(f"A must be 2-dimensional, got ndim={A.ndim}")
-        try:
-            s = operator.index(s)
-        except TypeError as exc:
-            raise SparsityRangeError(f"s must be an integer, got {s!r}") from exc
+        s = integer(s, "s", SparsityRangeError)
         tol = (tol or ToleranceConfig()).resolved(*A.shape)
         return cls(A=A, b=b, s=s, tol=tol)
 

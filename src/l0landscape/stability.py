@@ -32,7 +32,7 @@ from .errors import NonFiniteDataError, ValidationError
 from .model import Instance, complement_of, support_of, validate_instance
 from .enumeration import LandscapeReport, _fixpoints, _solve_supports
 from .stationarity import PointKind, SupportSubspace
-from .util import rng_for, spawn_seed
+from .util import integer, rng_for, spawn_seed
 
 
 class StabilityVerdict(str, Enum):
@@ -183,6 +183,7 @@ def probe_strong_stability(
         raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
     if not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and nonnegative, got {delta}")
+    trials, seed = integer(trials, "trials"), integer(seed, "seed")
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     if seed < 0:

@@ -1,10 +1,21 @@
-"""Small shared helpers: deterministic seed derivation."""
+"""Small shared helpers: integer arguments and deterministic seed derivation."""
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
+
+from .errors import ValidationError
+
+
+def integer(value, name: str, error: type[ValidationError] = ValidationError) -> int:
+    """``value`` as an ``int`` through ``operator.index``; a non-integer raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise error(f"{name} must be an integer, got {value!r}") from exc
 
 
 def spawn_seed(seed: int, *indices: int) -> int:

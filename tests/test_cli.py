@@ -268,10 +268,14 @@ class TestErrorPaths:
         assert (rc, out) == (2, "")
         assert err.startswith("error: delta=1e+200 ")
 
-    def test_non_finite_report_is_an_internal_error(self, capsys, saddle_file, monkeypatch):
+    @pytest.mark.parametrize("payload", [{"value": float("inf")},
+                                         {"points": [{"x": [0.5, float("nan")]}]}],
+                             ids=["inf", "nan-in-list"])
+    def test_non_finite_report_is_an_internal_error(self, capsys, saddle_file, monkeypatch,
+                                                    payload):
         import l0landscape.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "_dispatch", lambda args: ({"value": float("inf")}, None))
+        monkeypatch.setattr(cli_mod, "_dispatch", lambda args: (payload, None))
         rc, out, err = run_cli(capsys, ["analyze", "--instance", saddle_file])
         assert (rc, out) == (1, "")
         assert err.startswith("internal error: ")

@@ -14,11 +14,13 @@ from l0landscape import (
     SparsityRangeError,
     ToleranceConfig,
     ToleranceError,
+    ValidationError,
     enumerate_stationary,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     objective,
+    probe_strong_stability,
     run_genericity_experiment,
     support_of,
     sweep_levels,
@@ -124,6 +126,12 @@ class TestValidateInstance:
 
 
 _TOL = ToleranceConfig(rank_tol=1e-10)
+_SADDLE = Instance.from_arrays(np.eye(2), np.ones(2), 1)
+
+
+def _probe(**kwargs):
+    point = enumerate_stationary(_SADDLE).points[0]
+    return probe_strong_stability(_SADDLE, point, epsilon=0.1, delta=1e-4, **kwargs)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -143,11 +151,30 @@ _TOL = ToleranceConfig(rank_tol=1e-10)
     (lambda: validate_instance(replace(Instance.from_arrays(np.eye(3), np.ones(3), 2),
                                        s=np.int64(2))),
      SparsityRangeError, "s must lie in {0, ..., n-1} = {0, ..., 2}, got np.int64(2)"),
+    (lambda: run_genericity_experiment(4.0, 6, 2, 2, 0), ValidationError,
+     "m must be an integer, got 4.0"),
+    (lambda: run_genericity_experiment(4, 6.0, 2, 2, 0), ValidationError,
+     "n must be an integer, got 6.0"),
+    (lambda: run_genericity_experiment(4, 6, 2, 2.5, 0), ValidationError,
+     "trials must be an integer, got 2.5"),
+    (lambda: run_genericity_experiment(4, 6, 2, 2, 0.5), ValidationError,
+     "seed must be an integer, got 0.5"),
+    (lambda: _probe(trials=2.5, seed=0), ValidationError, "trials must be an integer, got 2.5"),
+    (lambda: _probe(trials=2, seed=0.7), ValidationError, "seed must be an integer, got 0.7"),
 ], ids=["from_arrays-1d", "validate-1d", "validate-empty", "validate-unresolved",
-        "from_dict-list", "from_arrays-float-s", "genericity-float-s", "validate-numpy-integer-s"])
+        "from_dict-list", "from_arrays-float-s", "genericity-float-s", "validate-numpy-integer-s",
+        "genericity-float-m", "genericity-float-n", "genericity-float-trials",
+        "genericity-float-seed", "probe-float-trials", "probe-float-seed"])
 def test_input_check_raises(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+def test_numpy_integer_arguments_give_plain_ints():
+    generic = run_genericity_experiment(np.int64(3), np.int64(5), 2, np.int64(2), np.int64(0))
+    probe = _probe(trials=np.int64(2), seed=np.int64(0))
+    assert [type(v) for v in (generic.trials, generic.seed, probe.trials)] == [int] * 3
+    json.dumps([generic.to_dict(), probe.to_dict()])
 
 
 class TestOneForm:
