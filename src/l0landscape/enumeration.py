@@ -4,14 +4,15 @@ Every support of size at most ``s`` is solved once by least squares on its
 column submatrix; the points, their ND2 verdicts, the s-regularity verdict
 and the level sweep are all read from that one table.  It is built one
 support size at a time, in blocks of at most ``_BLOCK`` supports, in a few
-stacked calls rather than numpy calls per support: one stacked SVD decides the
-ranks of a block, one call of numpy's least-squares gufunc gives their
-argmins (one LAPACK ``gelsd`` each), one stacked ``objective`` their values,
-one stacked ``gradient`` over the block's fixpoints gives, through
-``point_margins``, each point's stationarity residual and ND1 margin, and
-one ``classify`` call their verdicts; no gradient is kept.  Each solution is
-M-stationary by construction because its gradient vanishes on the solved
-support, which contains the solution's own support.  Two solutions are the same point exactly when their supports
+stacked calls rather than numpy calls per support: one call of numpy's
+least-squares gufunc gives a block's argmins and, from the singular values of
+the same LAPACK ``gelsd`` that solves each support, their ranks; one stacked
+``objective`` gives their values, one stacked ``gradient`` over the block's
+fixpoints gives, through ``point_margins``, each point's stationarity
+residual and ND1 margin, and one ``classify`` call their verdicts; no
+gradient is kept.  Each solution is M-stationary by construction because its
+gradient vanishes on the solved support, which contains the solution's own
+support.  Two solutions are the same point exactly when their supports
 under ``zero_tol`` agree, so the points are the fixpoints, the supports whose
 solve has exactly that support.  A solve vanishes off its support, so those
 are the supports all of whose solved coefficients exceed ``zero_tol``: one
@@ -68,7 +69,11 @@ class LandscapeReport:
     compares ``morse_lhs = (n - s) * r1`` against ``morse_rhs = r - 1``; it is
     guaranteed only when the matrix is s-regular, all points are nondegenerate,
     and stationary values are pairwise distinct, so ``hypothesis_violated``
-    records whenever any of that fails (the verdict is still computed).
+    records whenever any of that fails (the verdict is still computed).  Under
+    that hypothesis every support of size at most s is a point, so
+    ``r = C(n, s)``, ``r1 = C(n, s - 1)``, ``lower_order`` is the sum of
+    ``C(n, k)`` over ``k < s - 1`` and the relation holds by arithmetic; the
+    data decide only the order of the values, which ``sweep_levels`` audits.
     ``table`` holds the subspace minimum of every support of size at most s
     that the report was derived from; it is not serialized.  The points are
     its fixpoint entries themselves: ``table[p.support] is p``.
@@ -147,11 +152,12 @@ def _solve_supports(inst: Instance, supports: Iterable[Support],
     """Subspace minima of supports in size order.
 
     Per block of at most ``_BLOCK`` supports of one size, a few stacked
-    calls: one SVD stack for the ranks, one least-squares gufunc call for the
-    solves, the argmins as the rows of one ``(N, n)`` block, one stacked
-    ``objective`` for the values and one fixpoint mask.  With ``margins``,
-    the fixpoints' gradient margins come from one ``point_margins`` call and
-    their verdicts from one ``classify`` call; without, they stay ``None``.
+    calls: one least-squares gufunc call for the solves and, from their own
+    singular values, the ranks; the argmins as the rows of one ``(N, n)``
+    block, one stacked ``objective`` for the values and one fixpoint mask.
+    With ``margins``, the fixpoints' gradient margins come from one
+    ``point_margins`` call and their verdicts from one ``classify`` call;
+    without, they stay ``None``.
     """
     subs = []
     for k, group in itertools.groupby(supports, key=len):
@@ -159,8 +165,8 @@ def _solve_supports(inst: Instance, supports: Iterable[Support],
         for block in (group[i:i + _BLOCK] for i in range(0, len(group), _BLOCK)):
             index = np.array(block, dtype=int).reshape(len(block), k)
             stack = _column_stack(inst.A, index)
-            full_rank = numerical_rank(stack, inst.tol.rank_tol) == k
-            Z = solve_normal_equations(stack, inst.b, inst.tol.rank_tol)
+            Z, ranks = solve_normal_equations(stack, inst.b, inst.tol.rank_tol)
+            full_rank = ranks == k
             fixpoint = (np.abs(Z) > inst.tol.zero_tol).all(axis=1)
             X = np.zeros((len(block), inst.n))
             X[np.arange(len(block))[:, None], index] = Z
@@ -226,16 +232,9 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
     rhs = r - 1
     ties = any(values_tie(p.value, q.value) for p, q in zip(points, points[1:]))
     return LandscapeReport(
-        points=points,
-        r=r,
-        r1=r1,
-        lower_order=lower,
-        degenerate=degen,
-        s_regular=s_regular,
-        s_regularity_witness=witness,
-        morse_lhs=lhs,
-        morse_rhs=rhs,
-        morse_holds=lhs >= rhs,
+        points=points, r=r, r1=r1, lower_order=lower, degenerate=degen,
+        s_regular=s_regular, s_regularity_witness=witness,
+        morse_lhs=lhs, morse_rhs=rhs, morse_holds=lhs >= rhs,
         continuum_detected=not all(sub.nd2_holds for sub in table.values()),
         hypothesis_violated=(not s_regular) or degen > 0 or ties,
         table=table,
@@ -276,22 +275,15 @@ def run_genericity_experiment(
         inst = Instance.from_arrays(A, b, s, tol)
         rep = enumerate_stationary(inst)
         all_nondeg = rep.degenerate == 0
-        active = not any(
-            p.kind is PointKind.DEGENERATE and len(p.support) == s for p in rep.points
-        )
+        active = not any(p.kind is PointKind.DEGENERATE and len(p.support) == s
+                         for p in rep.points)
         nondeg_trials += all_nondeg
         active_trials += active
         regular_trials += rep.s_regular
         if not (all_nondeg and active and rep.s_regular):
-            logger.warning(
-                "genericity failure at trial %d (all_nondegenerate=%s, "
-                "minimizers_active=%s, s_regular=%s): %s",
-                t,
-                all_nondeg,
-                active,
-                rep.s_regular,
-                json.dumps(instance_to_dict(inst)),
-            )
+            logger.warning("genericity failure at trial %d (all_nondegenerate=%s, "
+                           "minimizers_active=%s, s_regular=%s): %s", t, all_nondeg, active,
+                           rep.s_regular, json.dumps(instance_to_dict(inst)))
     if trials == 0:
         return GenericityReport(0, 1.0, 1.0, 1.0, seed)
     return GenericityReport(

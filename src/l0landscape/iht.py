@@ -28,6 +28,7 @@ from .errors import DimensionMismatchError, NonFiniteDataError
 from .linalg import largest_eigenvalue_gram
 from .model import Instance, Support, support_of, validate_instance
 from .stationarity import point_margins
+from .util import integer
 
 # The iteration stops once a step moves x by at most STEP_TOL * (1 + ||x||),
 # or after MAX_ITER steps.
@@ -55,6 +56,7 @@ def hard_threshold(x, s: int) -> np.ndarray:
     unchanged.
     """
     x = np.asarray(x, dtype=float)
+    s = integer(s, "s")
     if not 0 <= s <= x.shape[0]:
         raise ValueError(f"need 0 <= s <= len(x), got s={s} for length {x.shape[0]}")
     return _keep_top(x, s)

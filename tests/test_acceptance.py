@@ -138,6 +138,7 @@ def test_criterion_06_morse_relation_property_suite():
     checked = 0
     attempts = 0
     violations = 0
+    miscounts = 0
     while checked < 500:
         attempts += 1
         assert attempts < 5000, "sampling did not produce enough clean instances"
@@ -149,8 +150,21 @@ def test_criterion_06_morse_relation_property_suite():
         checked += 1
         if not (rep.morse_lhs >= rep.morse_rhs and rep.morse_holds):
             violations += 1
-    _report(6, "Morse relation on 500 random s-regular landscapes",
-            violations == 0, f"{checked} instances, {violations} violations")
+        # Under the hypothesis every support of size at most s is a point, so
+        # the counts are binomials, and the cells the points attach
+        # (cell_attachment) add up to the Euler characteristic of the
+        # feasible set, a union of subspaces through 0: 1.
+        euler = sum((-1) ** (s - len(p.support)) * math.comb(n - len(p.support) - 1,
+                                                             s - len(p.support))
+                    for p in rep.points)
+        counts = (rep.r, rep.r1, rep.lower_order, len(rep.points), euler)
+        if counts != (math.comb(n, s), math.comb(n, s - 1),
+                      sum(math.comb(n, k) for k in range(s - 1)),
+                      sum(math.comb(n, k) for k in range(s + 1)), 1):
+            miscounts += 1
+    _report(6, "Morse relation and point counts on 500 random s-regular landscapes",
+            violations == 0 and miscounts == 0,
+            f"{checked} instances, {violations} violations, {miscounts} miscounts")
 
 
 def _five_levels(values):

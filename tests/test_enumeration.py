@@ -14,12 +14,14 @@ from l0landscape import (
     ToleranceConfig,
     ValidationError,
     check_s_regularity,
+    default_probe_epsilon,
     enumerate_stationary,
     enumerate_supports,
     gradient,
     instance_from_dict,
     numerical_rank,
     objective,
+    probe_strong_stability,
     run_genericity_experiment,
     solve_normal_equations,
     support_min_table,
@@ -162,9 +164,9 @@ class TestEnumerateStationary:
         rep = enumerate_stationary(inst)
         for p in rep.points:
             S = list(p.support)
-            z = solve_normal_equations(inst.A[:, S][np.newaxis], inst.b, inst.tol.rank_tol)[0]
-            full = numerical_rank(inst.A[:, S], inst.tol.rank_tol) == len(S)
-            assert full
+            (z,), (rank,) = solve_normal_equations(inst.A[:, S][np.newaxis], inst.b,
+                                                   inst.tol.rank_tol)
+            assert rank == len(S)
             x = np.zeros(inst.n)
             x[S] = z
             np.testing.assert_allclose(x, p.x, atol=1e-10)
@@ -359,14 +361,21 @@ class TestOneSolvePerSupport:
     def test_enumeration_and_sweep_share_one_solve_per_support(self, monkeypatch, variant):
         inst = self._instance(variant)
         sizes = []
+        rank_calls = []
 
         def counting_solve(stack, b, rank_tol):
             sizes.extend([stack.shape[2]] * stack.shape[0])
             return solve_normal_equations(stack, b, rank_tol)
 
+        def counting_rank(M, rank_tol):
+            rank_calls.append(np.shape(M))
+            return numerical_rank(M, rank_tol)
+
         # Patch every module that could solve supports, so any solve is counted.
         for module in (enumeration, levelsets):
             monkeypatch.setattr(module, "solve_normal_equations", counting_solve, raising=False)
+        # The ranks come from the solves' own singular values: no second SVD.
+        monkeypatch.setattr(enumeration, "numerical_rank", counting_rank)
 
         report = enumerate_stationary(inst)
         expected = collections.Counter(len(S) for S in enumerate_supports(inst.n, inst.s))
@@ -374,6 +383,9 @@ class TestOneSolvePerSupport:
         sizes.clear()
         sweep_levels(inst, report)
         assert sizes == []
+        probe_strong_stability(inst, report.points[0], epsilon=default_probe_epsilon(report),
+                               delta=1e-6, trials=2, seed=0)
+        assert rank_calls == []
         assert (report.s_regular, report.s_regularity_witness) == check_s_regularity(inst)
 
 

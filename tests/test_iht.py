@@ -9,6 +9,7 @@ from l0landscape import (
     Instance,
     NonFiniteDataError,
     PointKind,
+    ValidationError,
     enumerate_stationary,
     hard_threshold,
     iht_solve,
@@ -49,13 +50,17 @@ def assert_same_run(result, expected):
     assert result.is_m_stationary == expected.is_m_stationary
 
 
-@pytest.mark.parametrize("x0, error, message", [
-    ([0.0, 0.0, 0.0], DimensionMismatchError, "x0 must have length 2, got shape (3,)"),
-    ([0.0, np.nan], NonFiniteDataError, "x0 contains non-finite entries"),
-], ids=["length", "non-finite"])
-def test_input_check_raises(saddle_instance, x0, error, message):
+@pytest.mark.parametrize("call, error, message", [
+    (lambda inst: iht_solve(inst, [0.0, 0.0, 0.0]), DimensionMismatchError,
+     "x0 must have length 2, got shape (3,)"),
+    (lambda inst: iht_solve(inst, [0.0, np.nan]), NonFiniteDataError,
+     "x0 contains non-finite entries"),
+    (lambda inst: hard_threshold([1.0, 2.0, 3.0], 1.5), ValidationError,
+     "s must be an integer, got 1.5"),
+], ids=["length", "non-finite", "hard_threshold-s"])
+def test_input_check_raises(saddle_instance, call, error, message):
     with pytest.raises(error, match=re.escape(message)):
-        iht_solve(saddle_instance, x0)
+        call(saddle_instance)
 
 
 class TestHardThreshold:

@@ -21,15 +21,22 @@ TOL = 1e-10
 def solve_one(A, b, rank_tol=TOL):
     """``solve_normal_equations`` on a stack of one matrix, with its rank verdict."""
     A = np.asarray(A, dtype=float)
-    z = solve_normal_equations(A[np.newaxis], b, rank_tol)[0]
-    return z, numerical_rank(A, rank_tol) == A.shape[1]
+    (z,), (rank,) = solve_normal_equations(A[np.newaxis], b, rank_tol)
+    return z, rank == A.shape[1]
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: numerical_rank(np.eye(2), -1.0), ValueError, "rank_tol must be nonnegative, got -1.0"),
+    (lambda: numerical_rank(np.eye(2), np.nan), ValueError,
+     "rank_tol must be nonnegative, got nan"),
+    (lambda: solve_normal_equations(np.eye(2)[np.newaxis], [1.0, 2.0], -1.0), ValueError,
+     "rank_tol must be nonnegative, got -1.0"),
+    (lambda: solve_normal_equations(np.eye(2)[np.newaxis], [1.0, 2.0], np.nan), ValueError,
+     "rank_tol must be nonnegative, got nan"),
     (lambda: largest_eigenvalue_gram(np.zeros((0, 2))), DimensionMismatchError,
      "matrix must have at least one row and one column"),
-], ids=["numerical_rank", "largest_eigenvalue_gram"])
+], ids=["numerical_rank", "numerical_rank-nan", "solve-negative", "solve-nan",
+        "largest_eigenvalue_gram"])
 def test_input_check_raises(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
@@ -108,15 +115,17 @@ class TestStackedNumericalRank:
 
 
 class TestSolveNormalEquations:
-    @pytest.mark.parametrize("rank_tol", [default_rank_tol(5, 7), 0.0, 1.0])
+    @pytest.mark.parametrize("rank_tol", [default_rank_tol(5, 7), 0.0, 1.0, np.finfo(float).max])
     @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column"])
     def test_stack_rows_equal_the_public_lstsq(self, variant, rank_tol):
         # One gufunc call on the stack gives, bit for bit, what
-        # np.linalg.lstsq gives one matrix at a time; k = 0 stacks included.
+        # np.linalg.lstsq gives one matrix at a time, and from its singular
+        # values the ranks numerical_rank gives; k = 0 stacks included.
         b = np.random.default_rng(3).standard_normal(5)
         for stack in column_stacks(variant):
-            Z = solve_normal_equations(stack, b, rank_tol)
+            Z, ranks = solve_normal_equations(stack, b, rank_tol)
             assert Z.shape == stack.shape[::2]
+            assert ranks.tolist() == numerical_rank(stack, rank_tol).tolist()
             for A_S, z in zip(stack, Z):
                 assert z.tobytes() == np.linalg.lstsq(A_S, b, rcond=rank_tol)[0].tobytes()
 
@@ -125,8 +134,9 @@ class TestSolveNormalEquations:
     def test_empty_stacks(self, shape):
         stack = np.zeros(shape)
         b = np.ones(shape[1])
-        Z = solve_normal_equations(stack, b, TOL)
+        Z, ranks = solve_normal_equations(stack, b, TOL)
         assert Z.shape == shape[::2]
+        assert ranks.tolist() == [0] * shape[0]
         for A_S, z in zip(stack, Z):
             assert z.tobytes() == np.linalg.lstsq(A_S, b, rcond=TOL)[0].tobytes()
 
