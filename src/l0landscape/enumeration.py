@@ -2,26 +2,34 @@
 
 Every support of size at most ``s`` is solved once by least squares on its
 column submatrix; the points, their ND2 verdicts, the s-regularity verdict
-and the level sweep are all read from that one table.  It is built one
-support size at a time, in blocks of at most ``_BLOCK`` supports, in a few
-stacked calls rather than numpy calls per support: one call of numpy's
-least-squares gufunc gives a block's argmins and, from the singular values of
-the same LAPACK ``gelsd`` that solves each support, their ranks; one stacked
-``objective`` gives their values, one stacked ``gradient`` over the block's
-fixpoints gives, through ``point_margins``, each point's stationarity
-residual and ND1 margin, and one ``classify`` call their verdicts; no
-gradient is kept.  Each solution is M-stationary by construction because its
-gradient vanishes on the solved support, which contains the solution's own
-support.  Two solutions are the same point exactly when their supports
-under ``zero_tol`` agree, so the points are the fixpoints, the supports whose
-solve has exactly that support.  A solve vanishes off its support, so those
-are the supports all of whose solved coefficients exceed ``zero_tol``: one
-mask per block.  ``_fixpoints`` alone selects them, in report order, for the
-enumerator and the stability probe.  A point is its table entry, so its
-value, margins, verdicts and report order all come from its one solve:
-``report.table[p.support] is p``.  Rank-deficient solves certify a continuum
-of stationary points; ``support_min_table`` makes the point each one chases
-to degenerate, so every table carries final kinds.
+and the level sweep are all read from that one table.  The table is a list
+of per-size blocks (``_Block``): the size-k block holds the ``(C(n, k), k)``
+lex-ordered index array of the size-k supports and, row by row, their
+``(N, n)`` argmins, values, fixpoint mask and rank verdicts, and, for its
+fixpoints, their margins and kinds.  A block is built in chunks of at most
+``_BLOCK`` supports, each by a few stacked calls rather than numpy calls per
+support: one call of numpy's least-squares gufunc gives a chunk's argmins
+and, from the singular values of the same LAPACK ``gelsd`` that solves each
+support, their ranks; one stacked ``objective`` gives their values, one
+stacked ``gradient`` over the chunk's fixpoints gives, through
+``point_margins``, each point's stationarity residual and ND1 margin, and
+one ``classify`` call their verdicts; no gradient is kept.  Each solution is
+M-stationary by construction because its gradient vanishes on the solved
+support, which contains the solution's own support.  Two solutions are the
+same point exactly when their supports under ``zero_tol`` agree, so the
+points are the fixpoints, the supports whose solve has exactly that support.
+A solve vanishes off its support, so those are the supports all of whose
+solved coefficients exceed ``zero_tol``: one mask per chunk.
+
+Rank-deficient solves certify a continuum of stationary points; the point
+each one chases to is made degenerate as the table is built, so every table
+carries final kinds.  One summary (``_summarize``) reads every report fact
+from the blocks with array reductions, and report order (value, then
+support) is one ``np.lexsort``.  Records are built only where a caller reads
+them: ``enumerate_stationary`` and ``support_min_table`` make one
+:class:`SupportSubspace` per support, and a point is its table entry, so
+``report.table[p.support] is p``; the genericity experiment and the
+stability probe build none.
 """
 
 from __future__ import annotations
@@ -29,8 +37,9 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Iterable, Iterator
+import math
+from dataclasses import asdict, dataclass, field, fields
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -74,9 +83,10 @@ class LandscapeReport:
     ``r = C(n, s)``, ``r1 = C(n, s - 1)``, ``lower_order`` is the sum of
     ``C(n, k)`` over ``k < s - 1`` and the relation holds by arithmetic; the
     data decide only the order of the values, which ``sweep_levels`` audits.
-    ``table`` holds the subspace minimum of every support of size at most s
-    that the report was derived from; it is not serialized.  The points are
-    its fixpoint entries themselves: ``table[p.support] is p``.
+    The counts and verdicts are read from the per-size arrays of the support
+    table; ``table`` holds their records, the subspace minimum of every
+    support of size at most s, built for this report.  It is not serialized.
+    The points are its fixpoint entries themselves: ``table[p.support] is p``.
     """
 
     points: list[SupportSubspace]
@@ -120,6 +130,29 @@ class GenericityReport:
         return asdict(self)
 
 
+class _Block(NamedTuple):
+    """The supports of one size k in a support table, row by row.
+
+    ``supports`` is their ``(N, k)`` index array, ``x`` the ``(N, n)``
+    argmins, and ``value``, ``fixpoint`` and ``full_rank`` hold one entry
+    per row.  The last five fields hold one entry per fixpoint row, in row
+    order: stationarity residuals, ND1 margins, ND1 verdicts, near-degenerate
+    flags and kinds (``PointKind`` objects).  They are ``None`` when the
+    block was solved without margins.
+    """
+
+    supports: np.ndarray
+    x: np.ndarray
+    value: np.ndarray
+    fixpoint: np.ndarray
+    full_rank: np.ndarray
+    resid: np.ndarray | None
+    nd1_min_abs: np.ndarray | None
+    nd1_holds: np.ndarray | None
+    near: np.ndarray | None
+    kind: np.ndarray | None
+
+
 def enumerate_supports(n: int, s: int) -> Iterator[Support]:
     """All subsets of {0, ..., n-1} with at most s elements, in (size, lex) order."""
     if not 0 <= s <= n:
@@ -128,82 +161,168 @@ def enumerate_supports(n: int, s: int) -> Iterator[Support]:
         yield from itertools.combinations(range(n), k)
 
 
-def _s_regularity(verdicts: Iterable[tuple[Support, bool]]) -> tuple[bool, Support | None]:
-    """s-regular unless a size-s support lacks full rank; the witness is the lex-first one."""
-    witness = next((S for S, full in verdicts if not full), None)
-    return witness is None, witness
+def _combinations(n: int, k: int) -> np.ndarray:
+    """The ``(C(n, k), k)`` index array of the size-k subsets of {0, ..., n-1}, in lex order."""
+    count = math.comb(n, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=int, count=count * k).reshape(count, k)
 
 
-def _column_stack(A: np.ndarray, supports: np.ndarray | list[Support]) -> np.ndarray:
+def _size_indices(n: int, s: int) -> list[np.ndarray]:
+    """The index arrays of a full table's blocks, sizes 0 to s."""
+    return [_combinations(n, k) for k in range(s + 1)]
+
+
+def _lex_rank(n: int, support: Support) -> int:
+    """Row of ``support`` in its size's ``_combinations`` array.
+
+    In lex order, by the combinatorial number system: ``C(n, k) - 1`` minus
+    the colex rank of the complemented indices ``n - 1 - c``.
+    """
+    k = len(support)
+    return math.comb(n, k) - 1 - sum(math.comb(n - 1 - c, k - i) for i, c in enumerate(support))
+
+
+def _witness(supports: np.ndarray, full_rank: np.ndarray) -> Support | None:
+    """The first support in ``supports`` short of full rank, if any."""
+    deficient = np.flatnonzero(~full_rank)
+    return tuple(supports[deficient[0]].tolist()) if deficient.size else None
+
+
+def _column_stack(A: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """The ``(N, m, k)`` stack of the submatrices ``A[:, S]`` of N supports of one size k."""
-    return A.T[np.asarray(supports, dtype=int)].transpose(0, 2, 1)
+    return A.T[supports].transpose(0, 2, 1)
 
 
 def check_s_regularity(inst: Instance) -> tuple[bool, Support | None]:
-    """Whether every size-s column subset of ``inst.A`` has rank s; returns the first failure."""
+    """Whether every size-s column subset of ``inst.A`` has rank s; returns the first failure.
+
+    The size-s supports are decided in lex order, ``_BLOCK`` at a time.
+    """
     validate_instance(inst)
-    supports = list(itertools.combinations(range(inst.n), inst.s))
-    ranks = numerical_rank(_column_stack(inst.A, supports), inst.tol.rank_tol)
-    return _s_regularity(zip(supports, ranks == inst.s))
+    supports = _combinations(inst.n, inst.s)
+    for start in range(0, len(supports), _BLOCK):
+        chunk = supports[start:start + _BLOCK]
+        ranks = numerical_rank(_column_stack(inst.A, chunk), inst.tol.rank_tol)
+        witness = _witness(chunk, ranks == inst.s)
+        if witness is not None:
+            return False, witness
+    return True, None
 
 
-def _solve_supports(inst: Instance, supports: Iterable[Support],
-                    margins: bool = True) -> list[SupportSubspace]:
-    """Subspace minima of supports in size order.
+def _solve_chunk(inst: Instance, supports: np.ndarray, margins: bool) -> _Block:
+    """The block of supports of one size, by one stacked call of each kernel."""
+    k = supports.shape[1]
+    Z, ranks = solve_normal_equations(_column_stack(inst.A, supports), inst.b, inst.tol.rank_tol)
+    full_rank = ranks == k
+    fixpoint = (np.abs(Z) > inst.tol.zero_tol).all(axis=1)
+    X = np.zeros((len(supports), inst.n))
+    X[np.arange(len(supports))[:, None], supports] = Z
+    verdicts = (None,) * 5
+    if margins:
+        resid, nd1 = point_margins(inst, supports[fixpoint], X[fixpoint])
+        verdicts = (resid, nd1, *classify(inst, k, full_rank[fixpoint], nd1))
+    return _Block(supports, X, objective(inst, X), fixpoint, full_rank, *verdicts)
 
-    Per block of at most ``_BLOCK`` supports of one size, a few stacked
-    calls: one least-squares gufunc call for the solves and, from their own
-    singular values, the ranks; the argmins as the rows of one ``(N, n)``
-    block, one stacked ``objective`` for the values and one fixpoint mask.
-    With ``margins``, the fixpoints' gradient margins come from one
-    ``point_margins`` call and their verdicts from one ``classify`` call;
-    without, they stay ``None``.
+
+def _solve_supports(inst: Instance, indices: Iterable[np.ndarray],
+                    margins: bool = True) -> list[_Block]:
+    """One block per nonempty ``(N, k)`` index array, solved ``_BLOCK`` rows at a time.
+
+    Without ``margins``, no margin or verdict is computed and the blocks'
+    last five fields are ``None``.
     """
-    subs = []
-    for k, group in itertools.groupby(supports, key=len):
-        group = list(group)
-        for block in (group[i:i + _BLOCK] for i in range(0, len(group), _BLOCK)):
-            index = np.array(block, dtype=int).reshape(len(block), k)
-            stack = _column_stack(inst.A, index)
-            Z, ranks = solve_normal_equations(stack, inst.b, inst.tol.rank_tol)
-            full_rank = ranks == k
-            fixpoint = (np.abs(Z) > inst.tol.zero_tol).all(axis=1)
-            X = np.zeros((len(block), inst.n))
-            X[np.arange(len(block))[:, None], index] = Z
-            point = np.full((5, len(block)), None)
-            if margins:
-                resid, nd1 = point_margins(inst, index[fixpoint], X[fixpoint])
-                point[:, fixpoint] = (resid, nd1, *classify(inst, k, full_rank[fixpoint], nd1))
-            subs += [SupportSubspace(*entry) for entry in zip(
-                block, X, objective(inst, X).tolist(), fixpoint.tolist(), full_rank.tolist(),
-                *point)]
-    return subs
+    blocks = []
+    for supports in indices:
+        chunks = [_solve_chunk(inst, supports[i:i + _BLOCK], margins)
+                  for i in range(0, len(supports), _BLOCK)]
+        blocks.append(chunks[0] if len(chunks) == 1 else _Block(*(
+            None if column[0] is None else np.concatenate(column) for column in zip(*chunks))))
+    return blocks
 
 
-def _fixpoints(subs: Iterable[SupportSubspace]) -> list[SupportSubspace]:
-    """The fixpoint entries, in report order (value, support).
-
-    Among a full table's entries the empty support is always one: its solve
-    has no coefficients, so none of them is at most ``zero_tol``.
-    """
-    return sorted((sub for sub in subs if sub.fixpoint),
-                  key=lambda sub: (sub.value, sub.support))
-
-
-def support_min_table(inst: Instance) -> dict[Support, SupportSubspace]:
-    """Subspace minima for every support of size at most s, with final kinds.
+def _support_table(inst: Instance, indices: list[np.ndarray]) -> list[_Block]:
+    """The full support table, from ``_size_indices(inst.n, inst.s)``, with final kinds.
 
     The point that each rank-deficient solve chases to, through its support
     map, is degenerate: the continuum the solve certifies passes through it.
     Each step strictly shrinks the support, so the chase ends in the table.
     """
-    table = {sub.support: sub for sub in _solve_supports(inst, enumerate_supports(inst.n, inst.s))}
-    for sub in [sub for sub in table.values() if not sub.nd2_holds]:
-        while not sub.fixpoint:
-            sub = table[support_of(sub.x, inst.tol.zero_tol)]
-        if sub.kind is not PointKind.DEGENERATE:
-            table[sub.support] = replace(sub, kind=PointKind.DEGENERATE)
-    return table
+    blocks = _solve_supports(inst, indices)
+    for block in blocks:
+        for row in np.flatnonzero(~block.full_rank):
+            at, i = block, row
+            while not at.fixpoint[i]:
+                S = support_of(at.x[i], inst.tol.zero_tol)
+                at, i = blocks[len(S)], _lex_rank(inst.n, S)
+            at.kind[np.count_nonzero(at.fixpoint[:i])] = PointKind.DEGENERATE
+    return blocks
+
+
+def _summarize(inst: Instance, blocks: list[_Block]) -> dict:
+    """Every field of a full table's report but its points and table, read from its blocks.
+
+    The kinds are counted with ``list.count``, which compares by identity
+    first: ``==`` on an object array would turn a ``PointKind`` into a numpy
+    string.  The tie verdict is ``values_tie`` on adjacent sorted fixpoint
+    values, element for element: the values are nonnegative, so for
+    ``a <= b`` it reads ``b - a <= VALUE_TIE_REL * (1 + b)``.
+    """
+    kinds = np.concatenate([block.kind for block in blocks]).tolist()
+    r, r1, lower, degen = (kinds.count(kind) for kind in (
+        PointKind.LOCAL_MINIMIZER, PointKind.SADDLE_POINT, PointKind.LOWER_ORDER,
+        PointKind.DEGENERATE))
+    values = np.sort(np.concatenate([block.value[block.fixpoint] for block in blocks]))
+    ties = values[1:] - values[:-1] <= VALUE_TIE_REL * (1.0 + values[1:])
+    witness = _witness(blocks[inst.s].supports, blocks[inst.s].full_rank)
+    lhs = (inst.n - inst.s) * r1
+    rhs = r - 1
+    return dict(
+        r=r, r1=r1, lower_order=lower, degenerate=degen,
+        s_regular=witness is None, s_regularity_witness=witness,
+        morse_lhs=lhs, morse_rhs=rhs, morse_holds=lhs >= rhs,
+        continuum_detected=not all(block.full_rank.all() for block in blocks),
+        hypothesis_violated=witness is not None or degen > 0 or bool(ties.any()),
+    )
+
+
+def _report_order(blocks: list[_Block], keep: np.ndarray) -> np.ndarray:
+    """The rows that ``keep`` selects, in report order (value, then support).
+
+    Rows and ``keep`` run over the blocks' concatenation, whose sizes
+    increase.  The supports are padded with -1 to the largest size, so a
+    support sorts before its extensions, as in tuple order.  A probe trial
+    mostly keeps one row, which needs no sort.
+    """
+    rows = np.flatnonzero(keep)
+    if len(rows) < 2:
+        return rows
+    pad = np.full((len(keep), blocks[-1].supports.shape[1]), -1)
+    start = 0
+    for block in blocks:
+        pad[start:start + len(block.supports), :block.supports.shape[1]] = block.supports
+        start += len(block.supports)
+    value = np.concatenate([block.value for block in blocks])
+    return rows[np.lexsort((*pad[rows].T[::-1], value[rows]))]
+
+
+def _records(blocks: list[_Block]) -> list[SupportSubspace]:
+    """One record per row of the blocks, in their order; only fixpoints get verdicts."""
+    subs = []
+    for block in blocks:
+        verdicts = zip(*(column.tolist() for column in block[5:]))
+        subs += [SupportSubspace(S, x, value, fixpoint, full_rank,
+                                 *(next(verdicts) if fixpoint else (None,) * 5))
+                 for S, x, value, fixpoint, full_rank in zip(
+                     map(tuple, block.supports.tolist()), block.x, block.value.tolist(),
+                     block.fixpoint.tolist(), block.full_rank.tolist())]
+    return subs
+
+
+def support_min_table(inst: Instance) -> dict[Support, SupportSubspace]:
+    """Subspace minima for every support of size at most s, with final kinds."""
+    subs = _records(_support_table(inst, _size_indices(inst.n, inst.s)))
+    return {sub.support: sub for sub in subs}
 
 
 def values_tie(a: float, b: float) -> bool:
@@ -215,30 +334,15 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
     """Enumerate and classify every M-stationary point.
 
     The points are the table's fixpoint entries, classified as the table
-    was built, in the order of ``_fixpoints``.  The stationarity residual is
-    reported, not gated, so the enumeration never raises on its own solves.
+    was built, in report order.  The stationarity residual is reported, not
+    gated, so the enumeration never raises on its own solves.
     """
     validate_instance(inst)
-    table = support_min_table(inst)
-    points = _fixpoints(table.values())
-
-    r = sum(p.kind is PointKind.LOCAL_MINIMIZER for p in points)
-    r1 = sum(p.kind is PointKind.SADDLE_POINT for p in points)
-    lower = sum(p.kind is PointKind.LOWER_ORDER for p in points)
-    degen = sum(p.kind is PointKind.DEGENERATE for p in points)
-    s_regular, witness = _s_regularity(
-        (S, sub.nd2_holds) for S, sub in table.items() if len(S) == inst.s)
-    lhs = (inst.n - inst.s) * r1
-    rhs = r - 1
-    ties = any(values_tie(p.value, q.value) for p, q in zip(points, points[1:]))
-    return LandscapeReport(
-        points=points, r=r, r1=r1, lower_order=lower, degenerate=degen,
-        s_regular=s_regular, s_regularity_witness=witness,
-        morse_lhs=lhs, morse_rhs=rhs, morse_holds=lhs >= rhs,
-        continuum_detected=not all(sub.nd2_holds for sub in table.values()),
-        hypothesis_violated=(not s_regular) or degen > 0 or ties,
-        table=table,
-    )
+    blocks = _support_table(inst, _size_indices(inst.n, inst.s))
+    subs = _records(blocks)
+    order = _report_order(blocks, np.concatenate([block.fixpoint for block in blocks]))
+    return LandscapeReport(points=[subs[i] for i in order.tolist()],
+                           table={sub.support: sub for sub in subs}, **_summarize(inst, blocks))
 
 
 def run_genericity_experiment(
@@ -253,37 +357,43 @@ def run_genericity_experiment(
     """Sample seeded Gaussian data and measure how often nondegeneracy holds.
 
     Per trial: draws (A, b) with independent standard-normal entries from a
-    generator derived deterministically from (seed, trial index), enumerates
-    the landscape, and records whether (a) every point is nondegenerate,
-    (b) no full-support point is degenerate, and (c) A is s-regular.  Any
-    failing trial is logged with its instance data for inspection.  ``m``,
-    ``n``, ``s``, ``trials`` and ``seed`` must be integers (``operator.index``).
+    generator derived deterministically from (seed, trial index), builds the
+    support table, and records from its summary whether (a) every point is
+    nondegenerate, (b) no full-support point is degenerate, and (c) A is
+    s-regular: the verdicts of ``enumerate_stationary``'s report, without
+    its records.  Any failing trial is logged with its instance data for
+    inspection.  ``m``, ``n``, ``s``, ``trials`` and ``seed`` must be
+    integers (``operator.index``).
     """
     m, n, trials, seed = (integer(value, name) for value, name in
                           ((m, "m"), (n, "n"), (trials, "trials"), (seed, "seed")))
-    validate_instance(Instance.from_arrays(np.zeros((m, n)), np.zeros(m), s, tol))
+    shape = Instance.from_arrays(np.zeros((m, n)), np.zeros(m), s, tol)
+    validate_instance(shape)
+    s = shape.s
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
 
+    indices = _size_indices(n, s)
     nondeg_trials = active_trials = regular_trials = 0
     for t in range(trials):
         rng = rng_for(seed, t)
         A = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
         inst = Instance.from_arrays(A, b, s, tol)
-        rep = enumerate_stationary(inst)
-        all_nondeg = rep.degenerate == 0
-        active = not any(p.kind is PointKind.DEGENERATE and len(p.support) == s
-                         for p in rep.points)
+        blocks = _support_table(inst, indices)
+        summary = _summarize(inst, blocks)
+        all_nondeg = summary["degenerate"] == 0
+        active = PointKind.DEGENERATE not in blocks[s].kind.tolist()
+        s_regular = summary["s_regular"]
         nondeg_trials += all_nondeg
         active_trials += active
-        regular_trials += rep.s_regular
-        if not (all_nondeg and active and rep.s_regular):
+        regular_trials += s_regular
+        if not (all_nondeg and active and s_regular):
             logger.warning("genericity failure at trial %d (all_nondegenerate=%s, "
                            "minimizers_active=%s, s_regular=%s): %s", t, all_nondeg, active,
-                           rep.s_regular, json.dumps(instance_to_dict(inst)))
+                           s_regular, json.dumps(instance_to_dict(inst)))
     if trials == 0:
         return GenericityReport(0, 1.0, 1.0, 1.0, seed)
     return GenericityReport(

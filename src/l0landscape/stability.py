@@ -12,8 +12,8 @@ supports that can hold one.  Every enumerated point is exactly zero off its
 support, so a point within ``r`` of ``x_bar`` is nonzero on every index of
 ``C = {i : |x_bar_i| > r}``, and its support contains ``C``.  The candidates
 are the supports ``T`` with ``C <= T`` and ``|T| <= s``; they are solved by
-the support table's own per-size solver, and those within ``r`` go through
-the enumerator's own selector of points and report order, ``_fixpoints``.
+the support table's own per-size solver, and the fixpoints within ``r`` are
+put in the enumerator's own report order, ``_report_order``.
 The result is the enumerator's points within ``r``, bit for bit and in
 report order, without classifying any of them.  Nothing beyond ``r`` is
 seen: a point made degenerate by a farther continuum gets stable evidence.
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NonFiniteDataError, ValidationError
 from .model import Instance, complement_of, support_of, validate_instance
-from .enumeration import LandscapeReport, _fixpoints, _solve_supports
+from .enumeration import LandscapeReport, _report_order, _solve_supports
 from .stationarity import PointKind, SupportSubspace
 from .util import integer, rng_for, spawn_seed
 
@@ -95,9 +95,9 @@ def _rescaled(xs: np.ndarray) -> tuple[int, np.ndarray]:
     return shift, np.ldexp(xs, -shift)
 
 
-def _distances(xs: list[np.ndarray], y: np.ndarray) -> list[float]:
-    """``np.linalg.norm(x - y)`` for each ``x``, all taken after one ``_rescaled``."""
-    shift, P = _rescaled(np.array([*xs, y]))
+def _distances(X: np.ndarray, y: np.ndarray) -> list[float]:
+    """``np.linalg.norm(x - y)`` for each row ``x`` of ``X``, all taken after one ``_rescaled``."""
+    shift, P = _rescaled(np.vstack((X, y)))
     return [math.ldexp(float(np.linalg.norm(p - P[-1])), shift) for p in P[:-1]]
 
 
@@ -136,21 +136,26 @@ def _near_stationary_points(inst: Instance, x_bar: np.ndarray,
 
     Solves only the supports that contain ``C = support_of(x_bar, r)`` (see
     the module docstring for why no other support can hold such a point),
-    all in one call of the support table's per-size solver, and returns those
-    within ``r`` that ``_fixpoints`` keeps, in its order, each with its
-    ``_distances`` value to ``x_bar``.  Nothing is classified.
+    one block per size by the support table's solver, and returns the
+    fixpoints within ``r`` in report order (``_report_order``), each with
+    its ``_distances`` value to ``x_bar``.  Nothing is classified.
     """
     validate_instance(inst)
     core = support_of(x_bar, r)
     rest = complement_of(core, inst.n)
-    candidates = (tuple(sorted(core + extra))
-                  for k in range(inst.s - len(core) + 1)
-                  for extra in itertools.combinations(rest, k))
-    subs = _solve_supports(inst, candidates, margins=False)
-    distance = _distances([sub.x for sub in subs], x_bar)
-    within = {sub.support: d for sub, d in zip(subs, distance) if d <= r}
-    near = _fixpoints(sub for sub in subs if sub.support in within)
-    return [sub.x for sub in near], [within[sub.support] for sub in near]
+    indices = []
+    for k in range(len(core), inst.s + 1):
+        group = [sorted(core + extra) for extra in itertools.combinations(rest, k - len(core))]
+        if group:
+            indices.append(np.array(group, dtype=int).reshape(len(group), k))
+    blocks = _solve_supports(inst, indices, margins=False)
+    if not blocks:
+        return [], []
+    X = np.concatenate([block.x for block in blocks])
+    distance = _distances(X, x_bar)
+    within = np.concatenate([block.fixpoint for block in blocks]) & (np.array(distance) <= r)
+    near = _report_order(blocks, within).tolist()
+    return [X[i] for i in near], [distance[i] for i in near]
 
 
 def probe_strong_stability(

@@ -11,7 +11,10 @@ written with the orthogonal projector onto the support column span.  The
 probe's localized search is checked against a filter over the full
 enumeration, and its default radius against the plain all-pairs minimum gap.
 The enumerator's degenerate points are checked against a chase of every
-table entry, not only the rank-deficient ones, to its fixpoint.
+table entry, not only the rank-deficient ones, to its fixpoint.  The
+genericity experiment, which reads its verdicts from the support table's
+arrays, is checked against the same verdicts read, trial by trial, from an
+``enumerate_stationary`` report.
 The stationarity residual, the M-stationarity test and the direct ND1
 vector are written from their definitions, one point at a time, through the
 public gradient; the package takes residuals from a stacked kernel.  The
@@ -47,6 +50,7 @@ from l0landscape import (
     support_of,
 )
 from l0landscape import iht
+from l0landscape.util import rng_for
 from l0landscape.levelsets import LEVEL_BAND_REL
 
 
@@ -359,6 +363,29 @@ def kinds_by_chasing_every_entry(inst: Instance) -> tuple[set, bool]:
         kinds.add((U, local.get(len(U), PointKind.LOWER_ORDER) if nondegenerate
                    else PointKind.DEGENERATE))
     return kinds, any(finals.values())
+
+
+def genericity_by_enumeration(m: int, n: int, s: int, trials: int, seed: int, tol=None):
+    """The genericity experiment's fractions and failing trials, from full reports.
+
+    Each trial draws ``(A, b)`` as the experiment does and reads its three
+    verdicts from ``enumerate_stationary``: ``degenerate == 0``, no
+    degenerate point of support size ``s``, and ``s_regular``.  Returns the
+    three fractions (all 1.0 for no trials) and the ``(trial, *verdicts)``
+    of every trial that fails one.
+    """
+    verdicts = []
+    for t in range(trials):
+        rng = rng_for(seed, t)
+        A = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        rep = enumerate_stationary(Instance.from_arrays(A, b, s, tol))
+        verdicts.append((rep.degenerate == 0,
+                         not any(p.kind is PointKind.DEGENERATE and len(p.support) == s
+                                 for p in rep.points),
+                         rep.s_regular))
+    fractions = tuple(sum(v[i] for v in verdicts) / trials if trials else 1.0 for i in range(3))
+    return fractions, [(t, *v) for t, v in enumerate(verdicts) if not all(v)]
 
 
 @dataclass(frozen=True)

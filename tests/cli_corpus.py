@@ -108,6 +108,10 @@ def _commands() -> list[list[str]]:
          "--stat-tol", "10"],
         ["analyze", "--instance", csv_file, "--out", "reports/analyze.json"],
     ]
+    # The benchmark's generic shape: with --stat-tol 0.05 every trial fails,
+    # with --rank-tol 0.1 some do, so every verdict and log line is recorded.
+    generic = ["generic", "--m", "5", "--n", "8", "--s", "3", "--trials", "50", "--seed", "0"]
+    commands += [generic, generic + ["--stat-tol", "0.05"], generic + ["--rank-tol", "0.1"]]
 
     # A continuum through the origin, which passes ND1 and ND2 on its own
     # (point 5), and a solved coefficient exactly at zero_tol.

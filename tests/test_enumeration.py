@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import logging
+import math
 import re
 
 import numpy as np
@@ -29,10 +30,13 @@ from l0landscape import (
     sweep_levels,
 )
 from l0landscape import enumeration, levelsets
+from l0landscape.enumeration import values_tie
+from l0landscape.stationarity import SupportSubspace
 from l0landscape.util import rng_for
 
 from _oracles import (
     LANDSCAPES,
+    genericity_by_enumeration,
     is_m_stationary,
     kinds_by_chasing_every_entry,
     landscape_instance,
@@ -74,6 +78,19 @@ class TestEnumerateSupports:
         assert len(set(supports)) == len(supports)
         keys = [(len(S), S) for S in supports]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_index_arrays_and_lex_ranks_follow_the_listing(self, n):
+        # The table's blocks list the supports of each size in this order, and
+        # the continuum chase finds a support's row by its lex rank.
+        s = n - 1 if n < 8 else 4
+        blocks = enumeration._size_indices(n, s)
+        assert [len(index) for index in blocks] == [math.comb(n, k) for k in range(s + 1)]
+        rows = [tuple(row) for index in blocks for row in index.tolist()]
+        assert rows == list(enumerate_supports(n, s))
+        for index in blocks:
+            assert [enumeration._lex_rank(n, tuple(row)) for row in index.tolist()] == list(
+                range(len(index)))
 
 
 def _row_mix(rng, A, b):
@@ -448,6 +465,40 @@ class TestStackedTable:
             assert origin.nd1_holds and origin.nd2_holds
             assert origin.kind is PointKind.DEGENERATE and rep.continuum_detected
 
+    @staticmethod
+    def _tied_instance(name):
+        if name == "continuum":
+            return Instance.from_arrays([[10.0, 10.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+                                        [1.5e-8, 1.0, 0.0], 2)
+        if name == "mirror":  # nondegenerate and s-regular, with exactly tied values
+            return Instance.from_arrays(np.eye(3), [1.0, 1.0, 2.0], 2)
+        shape, variant = name.split(":")
+        return benchmark_instance(tuple(map(int, shape.split("x"))), variant)
+
+    @pytest.mark.parametrize("name", [
+        "5x8x3:duplicate-column", "6x10x3:duplicate-column", "5x8x3:zero-column",
+        "6x10x3:zero-column", "5x8x3:generic", "continuum", "mirror"])
+    def test_order_counts_and_ties_are_the_loops(self, name):
+        # The report reads these from the table's per-size arrays; here they
+        # are recomputed from the records, as one loop each.
+        inst = self._tied_instance(name)
+        rep = enumerate_stationary(inst)
+        fixpoints = [sub for sub in rep.table.values() if sub.fixpoint]
+        assert rep.points == sorted(fixpoints, key=lambda p: (p.value, p.support))
+        assert all(rep.table[p.support] is p for p in rep.points)
+        kinds = collections.Counter(p.kind for p in rep.points)
+        assert (rep.r, rep.r1, rep.lower_order, rep.degenerate) == tuple(kinds[kind] for kind in (
+            PointKind.LOCAL_MINIMIZER, PointKind.SADDLE_POINT, PointKind.LOWER_ORDER,
+            PointKind.DEGENERATE))
+        pairs = list(zip(rep.points, rep.points[1:]))
+        ties = any(values_tie(p.value, q.value) for p, q in pairs)
+        assert rep.hypothesis_violated == (not rep.s_regular or rep.degenerate > 0 or ties)
+        # Equal columns give bit-identical solves, so their values tie exactly.
+        exact = any(p.value == q.value for p, q in pairs)
+        assert exact == ("duplicate-column" in name or name in ("continuum", "mirror"))
+        if name == "mirror":  # the ties alone violate the hypothesis
+            assert ties and rep.s_regular and rep.degenerate == 0
+
     @pytest.mark.parametrize("shape, variant", [
         ((6, 10, 3), "duplicate-column"),
         ((5, 8, 3), "generic"), ((5, 8, 3), "zero-column"),
@@ -504,6 +555,34 @@ class TestSRegularity:
         )
         assert ok == oracle is True
         assert witness is None
+
+
+    @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column",
+                                         "late-duplicate"])
+    def test_blocks_leave_the_verdict_unchanged(self, monkeypatch, variant):
+        # "late-duplicate" repeats the last column in the one before it, so
+        # the first rank-deficient support, (0, 6, 7), lies in the third block.
+        base = benchmark_instance((5, 8, 3), "generic" if variant == "late-duplicate" else variant)
+        A = base.A.copy()
+        if variant == "late-duplicate":
+            A[:, -2] = A[:, -1]
+        inst = Instance.from_arrays(A, base.b, base.s)
+        whole = check_s_regularity(inst)
+        witness = next((S for S in itertools.combinations(range(inst.n), inst.s)
+                        if numerical_rank(inst.A[:, S], inst.tol.rank_tol) != inst.s), None)
+        assert whole == (witness is None, witness)
+        sizes = []
+
+        def counting_rank(M, rank_tol):
+            sizes.append(len(M))
+            return numerical_rank(M, rank_tol)
+
+        monkeypatch.setattr(enumeration, "numerical_rank", counting_rank)
+        monkeypatch.setattr(enumeration, "_BLOCK", 7)
+        assert check_s_regularity(inst) == whole
+        assert sizes and max(sizes) <= 7
+        if variant == "late-duplicate":
+            assert whole == (False, (0, 6, 7)) and len(sizes) == 3
 
 
 class TestVerdictInvariants:
@@ -579,6 +658,37 @@ class TestGenericityExperiment:
             assert record.getMessage().startswith(
                 f"genericity failure at trial {t} (all_nondegenerate=False, "
                 "minimizers_active=True, s_regular=True): {")
+
+
+    @pytest.mark.parametrize("tol", [None, ToleranceConfig(stat_tol=0.05),
+                                     ToleranceConfig(rank_tol=0.1), ToleranceConfig(rank_tol=0.5)],
+                             ids=["default", "stat_tol=0.05", "rank_tol=0.1", "rank_tol=0.5"])
+    @pytest.mark.parametrize("shape", [(3, 5, 2), (4, 7, 2), (5, 8, 3)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_verdicts_match_the_report_formula(self, shape, tol, caplog):
+        caplog.set_level(logging.WARNING, logger="l0landscape.enumeration")
+        rep = run_genericity_experiment(*shape, trials=50, seed=0, tol=tol)
+        fractions, failures = genericity_by_enumeration(*shape, 50, 0, tol)
+        assert (rep.all_nondegenerate_fraction, rep.minimizers_active_fraction,
+                rep.s_regular_fraction) == fractions
+        logged = [r.args[:4] for r in caplog.records if r.name == "l0landscape.enumeration"]
+        assert logged == failures
+        if shape == (5, 8, 3) and tol == ToleranceConfig(rank_tol=0.1):
+            assert fractions == (0.42, 0.42, 0.42)
+
+    def test_builds_no_support_record(self, monkeypatch):
+        built = []
+        init = SupportSubspace.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SupportSubspace, "__init__", counting_init)
+        run_genericity_experiment(5, 8, 3, trials=3, seed=0, tol=ToleranceConfig(stat_tol=0.05))
+        assert built == []
+        enumerate_stationary(benchmark_instance((5, 8, 3), "generic"))
+        assert len(built) == 93
 
 
 class TestReportSerialization:
