@@ -6,7 +6,9 @@ cannot be written), 1 on internal errors.  Output is deterministic
 byte-for-byte for fixed inputs and seeds; pass ``--timestamp`` to include a
 wall-clock field.  Every JSON report is ``writer.dumps(payload) + "\n"``,
 which is exactly ``json.dumps(payload, indent=2, allow_nan=False) + "\n"``;
-``analyze`` hands the writer its points as records, which write themselves.
+``analyze`` hands the writer its points as one object that writes them from
+the support table's arrays, so it builds no record; ``--csv``, ``sweep``
+and ``probe`` read the report's records, built on demand.
 A non-finite number in a report is an internal error.
 """
 

@@ -26,14 +26,17 @@ each one chases to is made degenerate as the table is built, so every table
 carries final kinds.  One summary (``_summarize``) reads every report fact
 from the blocks with array reductions, and report order (value, then
 support) is one ``np.lexsort``.  Records are built only where a caller reads
-them: ``enumerate_stationary`` and ``support_min_table`` make one
-:class:`SupportSubspace` per support, and a point is its table entry, so
-``report.table[p.support] is p``; the genericity experiment and the
-stability probe build none.
+them: a report builds its ``table`` and ``points``, one
+:class:`SupportSubspace` per support, on their first read, and a point is
+its table entry, so ``report.table[p.support] is p``; ``support_min_table``
+builds them at once.  ``analyze``'s report writes its points straight from
+the blocks (``_PointRows``), and the genericity experiment and the
+stability probe build no record.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -43,6 +46,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import writer
 from .errors import ValidationError
 from .linalg import numerical_rank, solve_normal_equations
 from .model import (
@@ -70,7 +74,7 @@ VALUE_TIE_REL = 1e-9
 _BLOCK = 4096
 
 
-@dataclass
+@dataclass(eq=False)
 class LandscapeReport:
     """Full enumeration result for one instance.
 
@@ -84,12 +88,14 @@ class LandscapeReport:
     ``C(n, k)`` over ``k < s - 1`` and the relation holds by arithmetic; the
     data decide only the order of the values, which ``sweep_levels`` audits.
     The counts and verdicts are read from the per-size arrays of the support
-    table; ``table`` holds their records, the subspace minimum of every
-    support of size at most s, built for this report.  It is not serialized.
-    The points are its fixpoint entries themselves: ``table[p.support] is p``.
+    table, which the report keeps with its report order.  ``table`` holds
+    their records, the subspace minimum of every support of size at most s,
+    and ``points`` the fixpoint entries among them in report order, so
+    ``table[p.support] is p``.  Both are built on their first read, once;
+    ``to_records`` writes the points from the arrays and builds none.  The
+    table is not serialized.
     """
 
-    points: list[SupportSubspace]
     r: int
     r1: int
     lower_order: int
@@ -101,17 +107,29 @@ class LandscapeReport:
     morse_holds: bool
     continuum_detected: bool
     hypothesis_violated: bool
-    table: dict[Support, SupportSubspace] = field(repr=False)
+    _blocks: list[_Block] = field(repr=False)
+    _order: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def table(self) -> dict[Support, SupportSubspace]:
+        return {sub.support: sub for sub in _records(self._blocks)}
+
+    @functools.cached_property
+    def points(self) -> list[SupportSubspace]:
+        subs = list(self.table.values())
+        return [subs[i] for i in self._order.tolist()]
 
     def to_dict(self) -> dict:
-        """Every field but ``table``, in field order; ``asdict`` would copy the table."""
+        """The points, as dicts, then every summary field, in field order."""
         d = self.to_records()
         d["points"] = [p.to_dict() for p in self.points]
         return d
 
     def to_records(self) -> dict:
-        """``to_dict`` with the points as the records themselves, for ``writer.dumps``."""
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "table"}
+        """``to_dict`` with the points as one ``_PointRows``, for ``writer.dumps``."""
+        d = {"points": _PointRows(self._blocks, self._order)}
+        d.update((f.name, getattr(self, f.name)) for f in fields(self)
+                 if not f.name.startswith("_"))
         d["s_regularity_witness"] = support_to_json(self.s_regularity_witness)
         return d
 
@@ -319,6 +337,63 @@ def _records(blocks: list[_Block]) -> list[SupportSubspace]:
     return subs
 
 
+@dataclass(frozen=True)
+class _PointRows:
+    """A report's points for ``writer.dumps``, written from the blocks' arrays.
+
+    ``json_text`` writes exactly the list of the points' ``to_dict()`` in
+    report order, without a record or dict.  Each block's fixpoint rows are
+    gathered once: supports, on-support coefficients, values, verdicts and
+    kinds, and each point is one ``%`` format of its size's template.  A
+    point's coefficients off its support are the zeros its row was made of,
+    so they are written as ``0.0``; only its support's coefficients and its
+    value are formatted.
+    """
+
+    blocks: list[_Block]
+    order: np.ndarray
+
+    def json_text(self, level: int) -> str:
+        first, separator, last = writer.frame(level)
+        first1, separator1, last1 = writer.frame(level + 1)
+        first2, separator2, last2 = writer.frame(level + 2)
+        n = self.blocks[0].x.shape[1]
+        kinds = {kind: writer.string(kind.value) for kind in PointKind}
+        rows = []
+        for block in self.blocks:
+            fixpoint = block.fixpoint
+            S = block.supports[fixpoint]
+            rows.append((S, np.take_along_axis(block.x[fixpoint], S, axis=1), block.value[fixpoint],
+                         block.nd1_holds, block.full_rank[fixpoint], block.near, block.kind))
+        # Each point's index among the fixpoints, in report order.
+        fixpoints = np.cumsum(np.concatenate([block.fixpoint for block in self.blocks])) - 1
+        report = fixpoints[self.order].tolist()
+        if not all(np.isfinite(Z).all() and np.isfinite(value).all() for _, Z, value, *_ in rows):
+            numbers = [z + [v] for _, Z, value, *_ in rows
+                       for z, v in zip(Z.tolist(), value.tolist())]
+            # ``number`` raises at the first non-finite number in writing order.
+            for i in report:
+                for v in numbers[i]:
+                    writer.number(v)
+        texts = []
+        for S, Z, value, nd1, nd2, near, kind in rows:
+            k = S.shape[1]
+            support = "[" + first2 + separator2.join(["%d"] * k) + last2 + "]" if k else "[]"
+            template = (f'{{{first1}"x": [{first2}%s{last2}]{separator1}"support": {support}'
+                        f'{separator1}"kind": %s{separator1}"value": %s{separator1}"nd1": %s'
+                        f'{separator1}"nd2": %s{separator1}"nd1_near_degenerate": %s{last1}}}')
+            cells = np.empty((len(S), n), dtype=object)
+            cells.fill("0.0")  # ``np.full`` would make one string per cell
+            coefficients = list(map(float.__repr__, Z.ravel().tolist()))
+            np.put_along_axis(cells, S, np.array(coefficients, dtype=object).reshape(Z.shape), 1)
+            flags = [np.where(flag, "true", "false").tolist() for flag in (nd1, nd2, near)]
+            texts += [template % (separator2.join(x), *indices, kinds[kind_], text, *verdicts)
+                      for x, indices, kind_, text, *verdicts in zip(
+                          cells.tolist(), (S + 1).tolist(), kind.tolist(),
+                          map(float.__repr__, value.tolist()), *flags)]
+        return "[" + first + separator.join([texts[i] for i in report]) + last + "]"
+
+
 def support_min_table(inst: Instance) -> dict[Support, SupportSubspace]:
     """Subspace minima for every support of size at most s, with final kinds."""
     subs = _records(_support_table(inst, _size_indices(inst.n, inst.s)))
@@ -339,10 +414,8 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
     """
     validate_instance(inst)
     blocks = _support_table(inst, _size_indices(inst.n, inst.s))
-    subs = _records(blocks)
     order = _report_order(blocks, np.concatenate([block.fixpoint for block in blocks]))
-    return LandscapeReport(points=[subs[i] for i in order.tolist()],
-                           table={sub.support: sub for sub in subs}, **_summarize(inst, blocks))
+    return LandscapeReport(**_summarize(inst, blocks), _blocks=blocks, _order=order)
 
 
 def run_genericity_experiment(

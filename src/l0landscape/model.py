@@ -46,7 +46,8 @@ class ToleranceConfig:
         this.  Enumerated points are not gated on it: their residual is
         reported.
     rank_tol
-        relative singular-value threshold for rank decisions; ``None`` means
+        relative singular-value threshold for rank decisions, in ``[0, 1)``:
+        at 1 or more no singular value would pass it; ``None`` means
         "resolve to ``1e-10 * max(m, n)`` for the instance at hand".
     """
 
@@ -180,6 +181,10 @@ def validate_instance(inst: Instance) -> None:
         value = getattr(t, key)
         if not np.isfinite(value) or value < 0:
             raise ToleranceError(f"{key} must be finite and nonnegative, got {value}")
+    # No singular value exceeds ``rank_tol * sigma_max`` when ``rank_tol >= 1``,
+    # so every nonempty support would be rank-deficient.
+    if t.rank_tol >= 1:
+        raise ToleranceError(f"rank_tol must be below 1, got {t.rank_tol}")
 
 
 # ---------------------------------------------------------------------------

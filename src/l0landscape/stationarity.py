@@ -33,7 +33,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import writer
 from .model import Instance, Support, residual, support_to_json
 
 
@@ -80,18 +79,6 @@ class SupportSubspace:
             "nd2": self.nd2_holds,
             "nd1_near_degenerate": self.nd1_near_degenerate,
         }
-
-    def json_text(self, level: int) -> str:
-        """``writer.dumps(self.to_dict(), level)``, written without the dict."""
-        first, separator, last = writer.frame(level)
-        dumps = writer.dumps
-        return (f'{{{first}"x": {writer.floats(self.x.tolist(), level + 1)}'
-                f'{separator}"support": {writer.ints(support_to_json(self.support), level + 1)}'
-                f'{separator}"kind": {writer.string(self.kind.value)}'
-                f'{separator}"value": {writer.number(self.value)}'
-                f'{separator}"nd1": {dumps(self.nd1_holds)}'
-                f'{separator}"nd2": {dumps(self.nd2_holds)}'
-                f'{separator}"nd1_near_degenerate": {dumps(self.nd1_near_degenerate)}{last}}}')
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ its indentation.  A non-finite float raises ``ValueError``, as
 ``allow_nan=False`` does.
 
 An object that is none of these may write itself: ``obj.json_text(level)``
-returns its text at nesting ``level`` (see ``SupportSubspace.json_text``), so
-a list of records needs no dict per record.
+returns its text at nesting ``level``.  A report's points are one such
+object (``enumeration._PointRows``), written from the support table's arrays
+with no record or dict per point.
 """
 
 from __future__ import annotations

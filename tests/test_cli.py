@@ -417,11 +417,9 @@ class TestOtherCommands:
         # Strict rule sigma > 0: the duplicated pair keeps a singular value of
         # order 1e-16, so every pair counts as full rank.
         ("0", True, True),
-        # Rule sigma > sigma_max: no singular value passes, so no pair does.
-        ("1", False, False),
-        # Found by tests/input_sweep.py: the threshold overflowed with a
-        # RuntimeWarning, an internal error under warnings as errors.
-        ("1.7976931348623157e308", False, False),
+        # Rule sigma > (1 - 1e-6) sigma_max: no Gaussian pair is that close to
+        # orthogonal with equal norms, so no pair passes.
+        ("0.999999", False, False),
     ])
     def test_analyze_and_regularity_agree_at_extreme_rank_tol(
             self, capsys, tmp_path, rank_tol, duplicate, expected):
@@ -441,6 +439,22 @@ class TestOtherCommands:
             assert rc == 0, err
             verdicts.append(json.loads(out)["s_regular"])
         assert verdicts == [expected, expected]
+
+    # At rank_tol >= 1 no singular value exceeds rank_tol * sigma_max, so every
+    # nonempty support would be rank-deficient: the smoke instance's point
+    # x = (1, 0, 0), on one nonzero column, was reported with "nd2": false.
+    # The largest value once overflowed the threshold (found by
+    # tests/input_sweep.py); it is now rejected before any rank is counted.
+    @pytest.mark.parametrize("rank_tol", ["1", "1.5", "1.7976931348623157e308"])
+    @pytest.mark.parametrize("command", ["analyze", "regularity", "sweep", "generic"])
+    def test_rank_tol_of_one_or_more_is_rejected(self, capsys, tmp_path, command, rank_tol):
+        path = tmp_path / "smoke.csv"
+        path.write_text("2,3,1\n1,0,0.5\n0,1,0.5\n1,0.25\n")
+        source = (["--m", "2", "--n", "3", "--s", "1", "--seed", "0"] if command == "generic"
+                  else ["--instance", str(path)])
+        rc, out, err = run_cli(capsys, [command, *source, "--rank-tol", rank_tol])
+        assert (rc, out) == (2, "")
+        assert err == f"error: rank_tol must be below 1, got {float(rank_tol)}\n"
 
     def test_sweep_json(self, capsys, saddle_file):
         rc, out, _ = run_cli(capsys, ["sweep", "--instance", saddle_file])

@@ -20,6 +20,7 @@ from l0landscape import (
     enumerate_supports,
     gradient,
     instance_from_dict,
+    instance_to_dict,
     numerical_rank,
     objective,
     probe_strong_stability,
@@ -29,8 +30,9 @@ from l0landscape import (
     support_of,
     sweep_levels,
 )
-from l0landscape import enumeration, levelsets
+from l0landscape import cli, enumeration, levelsets
 from l0landscape.enumeration import values_tie
+from l0landscape.model import support_to_json
 from l0landscape.stationarity import SupportSubspace
 from l0landscape.util import rng_for
 
@@ -44,6 +46,19 @@ from _oracles import (
 )
 
 TOL = 1e-10
+
+
+def count_records(monkeypatch) -> list:
+    """The supports of the ``SupportSubspace`` records built from now on, as they are built."""
+    built = []
+    init = SupportSubspace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SupportSubspace, "__init__", counting_init)
+    return built
 
 
 def s_regularity(A, s):
@@ -420,7 +435,7 @@ def benchmark_instance(shape, variant, seed=0):
 
 
 class TestStackedTable:
-    @pytest.mark.parametrize("rank_tol", [None, 0.0, 1.0])
+    @pytest.mark.parametrize("rank_tol", [None, 0.0, 0.5])
     @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column"])
     def test_full_rank_is_the_rank_rule_per_support(self, variant, rank_tol):
         base = TestOneSolvePerSupport._instance(variant)
@@ -677,17 +692,12 @@ class TestGenericityExperiment:
             assert fractions == (0.42, 0.42, 0.42)
 
     def test_builds_no_support_record(self, monkeypatch):
-        built = []
-        init = SupportSubspace.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args[0])
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(SupportSubspace, "__init__", counting_init)
+        built = count_records(monkeypatch)
         run_genericity_experiment(5, 8, 3, trials=3, seed=0, tol=ToleranceConfig(stat_tol=0.05))
         assert built == []
-        enumerate_stationary(benchmark_instance((5, 8, 3), "generic"))
+        rep = enumerate_stationary(benchmark_instance((5, 8, 3), "generic"))
+        assert built == []
+        rep.points
         assert len(built) == 93
 
 
@@ -705,3 +715,58 @@ class TestReportSerialization:
         for p in payload["points"]:
             assert set(p) == {"x", "support", "kind", "value", "nd1", "nd2",
                               "nd1_near_degenerate"}
+
+
+class TestRecordsOnDemand:
+    """``points`` and ``table`` are built on first read; ``analyze`` reads neither."""
+
+    @staticmethod
+    def _instance(variant):
+        if variant == "continuum":
+            return Instance.from_arrays([[10.0, 10.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+                                        [1.5e-8, 1.0, 0.0], 2)
+        return benchmark_instance((5, 8, 3), variant)
+
+    def test_analyze_builds_no_record(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps(instance_to_dict(self._instance("generic"))))
+        built = count_records(monkeypatch)
+        assert cli.main(["analyze", "--instance", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["points"]) == 93
+        assert built == []
+
+    @pytest.mark.parametrize("first", ["points", "table"])
+    def test_records_are_built_once(self, monkeypatch, first):
+        rep = enumerate_stationary(self._instance("generic"))
+        built = count_records(monkeypatch)
+        getattr(rep, first)
+        assert len(built) == 93
+        assert rep.points is rep.points and rep.table is rep.table
+        assert all(rep.table[p.support] is p for p in rep.points)
+        assert len(built) == 93
+
+    @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column", "continuum"])
+    def test_to_dict_is_the_records_formula(self, variant):
+        # The report's dict as it was formed when records were its fields:
+        # the fixpoint records of the table in (value, support) order, then
+        # the summary fields.
+        inst = self._instance(variant)
+        rep = enumerate_stationary(inst)
+        fixpoints = [sub for sub in support_min_table(inst).values() if sub.fixpoint]
+        expected = {"points": [p.to_dict() for p in sorted(
+            fixpoints, key=lambda p: (p.value, p.support))]}
+        for name in ("r", "r1", "lower_order", "degenerate", "s_regular",
+                     "s_regularity_witness", "morse_lhs", "morse_rhs", "morse_holds",
+                     "continuum_detected", "hypothesis_violated"):
+            expected[name] = getattr(rep, name)
+        expected["s_regularity_witness"] = support_to_json(rep.s_regularity_witness)
+        assert json.dumps(rep.to_dict()) == json.dumps(expected)
+
+    @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column", "continuum"])
+    def test_sweep_reads_the_same_records_on_a_fresh_report(self, variant):
+        inst = self._instance(variant)
+        fresh = sweep_levels(inst, enumerate_stationary(inst)).to_dict()
+        for first in ("points", "table"):
+            rep = enumerate_stationary(inst)
+            getattr(rep, first)
+            assert sweep_levels(inst, rep).to_dict() == fresh

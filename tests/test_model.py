@@ -143,6 +143,11 @@ def _probe(**kwargs):
      DimensionMismatchError, "A must be nonempty, got shape (0, 2)"),
     (lambda: validate_instance(Instance(np.eye(2), np.ones(2), 1, ToleranceConfig())),
      ToleranceError, "rank_tol is unresolved"),
+    (lambda: validate_instance(Instance.from_arrays(np.eye(2), np.ones(2), 1,
+                                                    ToleranceConfig(rank_tol=1.0))),
+     ToleranceError, "rank_tol must be below 1, got 1.0"),
+    (lambda: run_genericity_experiment(4, 6, 2, 2, 0, tol=ToleranceConfig(rank_tol=2.5)),
+     ToleranceError, "rank_tol must be below 1, got 2.5"),
     (lambda: instance_from_dict([]), InstanceFormatError, "instance JSON must be an object"),
     (lambda: Instance.from_arrays(np.eye(3), np.ones(3), 1.9), SparsityRangeError,
      "s must be an integer, got 1.9"),
@@ -162,6 +167,7 @@ def _probe(**kwargs):
     (lambda: _probe(trials=2.5, seed=0), ValidationError, "trials must be an integer, got 2.5"),
     (lambda: _probe(trials=2, seed=0.7), ValidationError, "seed must be an integer, got 0.7"),
 ], ids=["from_arrays-1d", "validate-1d", "validate-empty", "validate-unresolved",
+        "validate-rank-tol-1", "genericity-rank-tol-2.5",
         "from_dict-list", "from_arrays-float-s", "genericity-float-s", "validate-numpy-integer-s",
         "genericity-float-m", "genericity-float-n", "genericity-float-trials",
         "genericity-float-seed", "probe-float-trials", "probe-float-seed"])

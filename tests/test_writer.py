@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from l0landscape import Instance, enumerate_stationary
+from l0landscape import Instance, ToleranceConfig, enumerate_stationary
 from l0landscape.stability import StabilityVerdict
 from l0landscape.stationarity import PointKind
 from l0landscape.writer import dumps
@@ -126,15 +127,67 @@ def _reports():
     yield Instance.from_arrays([[10.0, 10.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
                                [1.5e-8, 1.0, 0.0], 2)
     yield Instance.from_arrays([[1.0, 2.0], [0.5, -1.0]], [1.0, 0.25], 0)
+    # Tolerances that fail ND1 with the near-degenerate flag set, and ND2.
+    base = landscape_instance((5, 8, 3), "generic", 0)
+    yield Instance.from_arrays(base.A, base.b, 3, ToleranceConfig(stat_tol=0.05))
+    yield Instance.from_arrays(base.A, base.b, 3, ToleranceConfig(rank_tol=0.5))
+    # Negative and subnormal coefficients, kept as points by zero_tol = 0.
+    yield Instance.from_arrays([[1.0, 0.0, 0.5], [0.0, -2.0, 0.0]], [1e-310, 3.0], 2,
+                               ToleranceConfig(zero_tol=0.0))
+    # n = 1, where s = 0.
+    yield Instance.from_arrays([[2.0], [-1.0]], [-1.0, 0.5], 0)
 
 
-@pytest.mark.parametrize("inst", list(_reports()),
-                         ids=["generic-0", "generic-1", "zero-column-0", "zero-column-1",
-                              "duplicate-column-0", "duplicate-column-1", "continuum", "s0"])
+_REPORTS = list(_reports())
+_REPORT_IDS = ["generic-0", "generic-1", "zero-column-0", "zero-column-1", "duplicate-column-0",
+               "duplicate-column-1", "continuum", "s0", "stat-tol", "rank-tol", "subnormal", "n1"]
+
+
+@pytest.mark.parametrize("inst", _REPORTS, ids=_REPORT_IDS)
 def test_point_rows_match_json_dumps_of_to_dict(inst):
     report = enumerate_stationary(inst)
     text = dumps(report.to_records())
     assert text == json.dumps(report.to_dict(), indent=2, allow_nan=False)
     assert '"support": []' in text  # the origin, the one point with an empty support
-    for p in report.points:
-        assert dumps(p) == json.dumps(p.to_dict(), indent=2, allow_nan=False)
+
+
+def test_flag_and_sign_instances_reach_their_cases():
+    texts = {name: dumps(enumerate_stationary(inst).to_records())
+             for name, inst in zip(_REPORT_IDS, _REPORTS)}
+    assert '"nd1_near_degenerate": true' in texts["stat-tol"]
+    assert '"nd1": false' in texts["stat-tol"]
+    assert '"nd2": false' in texts["rank-tol"]
+    points = json.loads(texts["subnormal"])["points"]
+    coefficients = [v for p in points for v in p["x"] if v != 0.0]
+    assert any(v < 0.0 for v in coefficients)
+    assert any(0.0 < abs(v) < 2.2250738585072014e-308 for v in coefficients)
+    assert json.loads(texts["n1"])["points"] == [{
+        "x": [0.0], "support": [], "kind": "LocalMinimizer", "value": 0.625, "nd1": True,
+        "nd2": True, "nd1_near_degenerate": False}]
+
+
+def _report_rows(report):
+    """Each point's (block, row) in the report's blocks, in report order."""
+    rows = [(block, i) for block in report._blocks for i in range(len(block.supports))]
+    return [rows[i] for i in report._order.tolist()]
+
+
+@pytest.mark.parametrize("earlier, later", [
+    ((3, "value"), (5, "x")),
+    ((4, "x"), (4, "value")),
+    ((0, "x"), (-1, "value")),  # the first point is in the last block, the last in the first
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_point_number_raises_at_the_first_in_writing_order(bad, earlier, later):
+    # Writing order: each point's x, then its value, point by point in report order.
+    report = enumerate_stationary(landscape_instance((5, 8, 3), "generic", 0))
+    points = _report_rows(report)
+    for (point, where), number in [(earlier, bad), (later, math.inf if bad != bad else math.nan)]:
+        block, i = points[point]
+        if where == "value":
+            block.value[i] = number
+        else:
+            block.x[i, block.supports[i][-1]] = number
+    with pytest.raises(ValueError, match=re.escape(
+            f"Out of range float values are not JSON compliant: {bad!r}")):
+        dumps(report.to_records())
