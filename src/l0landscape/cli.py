@@ -7,8 +7,10 @@ byte-for-byte for fixed inputs and seeds; pass ``--timestamp`` to include a
 wall-clock field.  Every JSON report is ``writer.dumps(payload) + "\n"``,
 which is exactly ``json.dumps(payload, indent=2, allow_nan=False) + "\n"``;
 ``analyze`` hands the writer its points as one object that writes them from
-the support table's arrays, so it builds no record; ``--csv``, ``sweep``
-and ``probe`` read the report's records, built on demand.
+the support table's arrays, and ``sweep`` its intervals and transitions as
+rows written from the sweep's columns, so neither builds a record;
+``analyze --csv`` and ``probe`` read the report's records, built on demand,
+and ``sweep --csv`` the sweep's intervals.
 A non-finite number in a report is an internal error.
 """
 
@@ -139,7 +141,7 @@ def _dispatch(args):
         inst = _load(args)
         report = enumerate_stationary(inst)
         result = sweep_levels(inst, report)
-        return result.to_dict(), _intervals_csv(result) if args.csv else None
+        return result.to_records(), _intervals_csv(result) if args.csv else None
     if args.command == "probe":
         inst = _load(args)
         report = enumerate_stationary(inst)

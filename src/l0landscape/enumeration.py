@@ -30,8 +30,8 @@ them: a report builds its ``table`` and ``points``, one
 :class:`SupportSubspace` per support, on their first read, and a point is
 its table entry, so ``report.table[p.support] is p``; ``support_min_table``
 builds them at once.  ``analyze``'s report writes its points straight from
-the blocks (``_PointRows``), and the genericity experiment and the
-stability probe build no record.
+the blocks (``_PointRows``), ``sweep_levels`` reads the blocks, and the
+genericity experiment and the stability probe build no record.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ class LandscapeReport:
     records whenever any of that fails (the verdict is still computed).  Under
     that hypothesis every support of size at most s is a point, so
     ``r = C(n, s)``, ``r1 = C(n, s - 1)``, ``lower_order`` is the sum of
-    ``C(n, k)`` over ``k < s - 1`` and the relation holds by arithmetic; the
-    data decide only the order of the values, which ``sweep_levels`` audits.
+    ``C(n, k)`` over ``k < s - 1`` (``enumerate_stationary`` checks these
+    three) and the relation holds by arithmetic; the data decide only the
+    order of the values, which ``sweep_levels`` audits.
     The counts and verdicts are read from the per-size arrays of the support
     table, which the report keeps with its report order.  ``table`` holds
     their records, the subspace minimum of every support of size at most s,
@@ -191,14 +192,20 @@ def _size_indices(n: int, s: int) -> list[np.ndarray]:
     return [_combinations(n, k) for k in range(s + 1)]
 
 
-def _lex_rank(n: int, support: Support) -> int:
-    """Row of ``support`` in its size's ``_combinations`` array.
+def _lex_rank(n: int, supports) -> np.ndarray:
+    """Row of each support in its size's ``_combinations`` array.
 
-    In lex order, by the combinatorial number system: ``C(n, k) - 1`` minus
-    the colex rank of the complemented indices ``n - 1 - c``.
+    ``supports`` is one support of size k, or an ``(..., k)`` index array of
+    them; the result has the shape of ``supports`` without its last axis.  In
+    lex order, by the combinatorial number system: ``C(n, k) - 1`` minus the
+    colex rank of the complemented indices ``n - 1 - c``.
     """
-    k = len(support)
-    return math.comb(n, k) - 1 - sum(math.comb(n - 1 - c, k - i) for i, c in enumerate(support))
+    S = np.asarray(supports, dtype=int)
+    k = S.shape[-1]
+    # binom[a, i] = C(a, k - i), the term of an index with n - 1 - c = a in place i.
+    binom = np.array([[math.comb(a, k - i) for i in range(k)] for a in range(n)],
+                     dtype=int).reshape(n, k)
+    return math.comb(n, k) - 1 - binom[n - 1 - S, np.arange(k)].sum(axis=-1)
 
 
 def _witness(supports: np.ndarray, full_rank: np.ndarray) -> Support | None:
@@ -265,15 +272,23 @@ def _support_table(inst: Instance, indices: list[np.ndarray]) -> list[_Block]:
     The point that each rank-deficient solve chases to, through its support
     map, is degenerate: the continuum the solve certifies passes through it.
     Each step strictly shrinks the support, so the chase ends in the table.
+    A block's solves are chased together: each step ranks the supports of
+    one size with one ``_lex_rank`` call.
     """
     blocks = _solve_supports(inst, indices)
     for block in blocks:
-        for row in np.flatnonzero(~block.full_rank):
-            at, i = block, row
-            while not at.fixpoint[i]:
-                S = support_of(at.x[i], inst.tol.zero_tol)
-                at, i = blocks[len(S)], _lex_rank(inst.n, S)
-            at.kind[np.count_nonzero(at.fixpoint[:i])] = PointKind.DEGENERATE
+        X = block.x[~block.full_rank]
+        while len(X):
+            supports = [support_of(x, inst.tol.zero_tol) for x in X]
+            chased = []
+            for k in sorted(set(map(len, supports))):
+                at = blocks[k]
+                same = [S for S in supports if len(S) == k]
+                rows = _lex_rank(inst.n, np.array(same, dtype=int).reshape(len(same), k))
+                done = at.fixpoint[rows]
+                at.kind[np.cumsum(at.fixpoint)[rows[done]] - 1] = PointKind.DEGENERATE
+                chased.append(at.x[rows[~done]])
+            X = np.concatenate(chased)
     return blocks
 
 
@@ -354,7 +369,6 @@ class _PointRows:
     order: np.ndarray
 
     def json_text(self, level: int) -> str:
-        first, separator, last = writer.frame(level)
         first1, separator1, last1 = writer.frame(level + 1)
         first2, separator2, last2 = writer.frame(level + 2)
         n = self.blocks[0].x.shape[1]
@@ -391,7 +405,7 @@ class _PointRows:
                       for x, indices, kind_, text, *verdicts in zip(
                           cells.tolist(), (S + 1).tolist(), kind.tolist(),
                           map(float.__repr__, value.tolist()), *flags)]
-        return "[" + first + separator.join([texts[i] for i in report]) + last + "]"
+        return writer.rows([texts[i] for i in report], level)
 
 
 def support_min_table(inst: Instance) -> dict[Support, SupportSubspace]:
@@ -410,12 +424,26 @@ def enumerate_stationary(inst: Instance) -> LandscapeReport:
 
     The points are the table's fixpoint entries, classified as the table
     was built, in report order.  The stationarity residual is reported, not
-    gated, so the enumeration never raises on its own solves.
+    gated, so the enumeration never raises on its own solves.  Under the
+    Morse hypothesis, when every support is a point, the counts must be the
+    binomials of the theory; any other counts are an internal contradiction
+    and raise ``RuntimeError``.  A solve with a coefficient within
+    ``zero_tol`` is no point, which a large ``zero_tol`` allows even when
+    the hypothesis holds; such tables are not checked.
     """
     validate_instance(inst)
-    blocks = _support_table(inst, _size_indices(inst.n, inst.s))
+    n, s = inst.n, inst.s
+    blocks = _support_table(inst, _size_indices(n, s))
     order = _report_order(blocks, np.concatenate([block.fixpoint for block in blocks]))
-    return LandscapeReport(**_summarize(inst, blocks), _blocks=blocks, _order=order)
+    summary = _summarize(inst, blocks)
+    if not summary["hypothesis_violated"] and all(block.fixpoint.all() for block in blocks):
+        found = (summary["r"], summary["r1"], summary["lower_order"])
+        expected = (math.comb(n, s), math.comb(n, s - 1) if s else 0,
+                    sum(math.comb(n, k) for k in range(s - 1)))
+        if found != expected:
+            raise RuntimeError(f"(r, r1, lower_order) = {found} under the Morse hypothesis, "
+                               f"not the binomials {expected}")
+    return LandscapeReport(**summary, _blocks=blocks, _order=order)
 
 
 def run_genericity_experiment(

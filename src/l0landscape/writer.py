@@ -14,7 +14,9 @@ its indentation.  A non-finite float raises ``ValueError``, as
 An object that is none of these may write itself: ``obj.json_text(level)``
 returns its text at nesting ``level``.  A report's points are one such
 object (``enumeration._PointRows``), written from the support table's arrays
-with no record or dict per point.
+with no record or dict per point, and so are a sweep's intervals and
+transitions (``levelsets.SweepResult.to_records``); :func:`rows` frames the
+items such an object has written.
 """
 
 from __future__ import annotations
@@ -44,22 +46,28 @@ def number(value: float) -> str:
     return float.__repr__(value)
 
 
-def floats(items: list[float], level: int) -> str:
-    """A list of exact floats: one finiteness check and one join."""
-    if not items:
+def numbers(items: list[float]) -> list[str]:
+    """Exact floats as ``json`` writes them, after one finiteness check of them all."""
+    # ``number`` raises at the first non-finite item.
+    return list(map(float.__repr__ if all(map(math.isfinite, items)) else number, items))
+
+
+def rows(texts: list[str], level: int) -> str:
+    """A list of items already written at nesting ``level + 1``, its brackets at ``level``."""
+    if not texts:
         return "[]"
     first, separator, last = frame(level)
-    # ``number`` raises at the first non-finite item.
-    body = map(float.__repr__ if all(map(math.isfinite, items)) else number, items)
-    return "[" + first + separator.join(body) + last + "]"
+    return "[" + first + separator.join(texts) + last + "]"
+
+
+def floats(items: list[float], level: int) -> str:
+    """A list of exact floats: one finiteness check and one join."""
+    return rows(numbers(items), level)
 
 
 def ints(items: list[int], level: int) -> str:
     """A list of exact ints: one join."""
-    if not items:
-        return "[]"
-    first, separator, last = frame(level)
-    return "[" + first + separator.join(map(int.__repr__, items)) + last + "]"
+    return rows(list(map(int.__repr__, items)), level)
 
 
 def _array(items, level: int) -> str:
@@ -69,11 +77,7 @@ def _array(items, level: int) -> str:
         return floats(items, level)
     if types == {int}:
         return ints(items, level)
-    if not items:
-        return "[]"
-    first, separator, last = frame(level)
-    return ("[" + first + separator.join(dumps(v, level + 1) for v in items)
-            + last + "]")
+    return rows([dumps(v, level + 1) for v in items], level)
 
 
 def _object(items: dict, level: int) -> str:

@@ -51,7 +51,7 @@ from l0landscape import (
 )
 from l0landscape import iht
 from l0landscape.util import rng_for
-from l0landscape.levelsets import LEVEL_BAND_REL
+from l0landscape.levelsets import LEVEL_BAND_REL, _level_counts
 
 
 class RankDeficiencyError(L0LandscapeError):
@@ -187,6 +187,18 @@ def pairwise_components(inst: Instance, level: float, table) -> int:
         for S in nodes
     ])
     return int(connected_components(adjacency, directed=False)[0])
+
+
+def table_level_counts(inst: Instance, levels, table) -> list[int]:
+    """``levelsets._level_counts`` at ``levels``, fed support by support from ``table``.
+
+    The size-s and size-(s-1) values are read in ``itertools.combinations``
+    order, the lex order the counts expect; there is no size -1 at s = 0.
+    """
+    value, lower = (
+        np.array([table[S].value for S in itertools.combinations(range(inst.n), k)])
+        if k >= 0 else np.zeros(0) for k in (inst.s, inst.s - 1))
+    return _level_counts(inst.n, inst.s, value, lower, levels)
 
 
 def random_instance(rng, m: int, n: int, s: int, tol=None,

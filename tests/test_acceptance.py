@@ -25,13 +25,13 @@ from l0landscape import (
     run_genericity_experiment,
     sweep_levels,
 )
-from l0landscape.levelsets import _level_counts
 
 from _oracles import (
     grid_components,
     min_relative_value_gap,
     random_instance,
     stationarity_residual,
+    table_level_counts,
 )
 
 COORD_TOL = 1e-10
@@ -248,8 +248,9 @@ def test_criterion_08_sweep_transition_audit():
                 bad += 1
             elif kind is PointKind.LOWER_ORDER and t.delta != 0:
                 bad += 1
-        counts = _level_counts(inst, rep.table, [
-            iv.lo + f * (iv.hi - iv.lo) for iv in sweep.intervals for f in (0.25, 0.5, 0.75)])
+        counts = table_level_counts(inst, [
+            iv.lo + f * (iv.hi - iv.lo) for iv in sweep.intervals for f in (0.25, 0.5, 0.75)],
+            rep.table)
         for i, iv in enumerate(sweep.intervals):
             if set(counts[3 * i:3 * i + 3]) != {iv.q}:
                 bad += 1

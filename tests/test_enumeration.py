@@ -31,6 +31,7 @@ from l0landscape import (
     sweep_levels,
 )
 from l0landscape import cli, enumeration, levelsets
+from l0landscape.writer import dumps as writer_dumps
 from l0landscape.enumeration import values_tie
 from l0landscape.model import support_to_json
 from l0landscape.stationarity import SupportSubspace
@@ -770,3 +771,104 @@ class TestRecordsOnDemand:
             rep = enumerate_stationary(inst)
             getattr(rep, first)
             assert sweep_levels(inst, rep).to_dict() == fresh
+
+    def test_sweep_builds_no_record(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "generic.json"
+        inst = self._instance("generic")
+        path.write_text(json.dumps(instance_to_dict(inst)))
+        built = count_records(monkeypatch)
+        assert cli.main(["sweep", "--instance", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["applicable"]
+        assert built == []
+        # ``--csv`` reads the intervals, which the result builds from its columns.
+        assert cli.main(["sweep", "--instance", str(path), "--csv"]) == 0
+        intervals = sweep_levels(inst, enumerate_stationary(inst)).to_dict()["intervals"]
+        assert capsys.readouterr().out == "lo,hi,q\n" + "".join(
+            f"{iv['interval'][0]!r},{iv['interval'][1]!r},{iv['q']}\n" for iv in intervals)
+        assert built == []
+
+
+class TestSweepRows:
+    """``sweep`` writes its report from the result's columns: the bytes of its ``to_dict``."""
+
+    @staticmethod
+    def _instance(case, saddle_instance):
+        if case == "saddle":
+            return saddle_instance
+        if case == "continuum":
+            return TestRecordsOnDemand._instance("continuum")
+        if case == "s-zero":
+            rng = np.random.default_rng(5)
+            return Instance.from_arrays(rng.standard_normal((3, 4)), rng.standard_normal(3), 0)
+        shape, variant = case
+        return benchmark_instance(shape, variant)
+
+    @pytest.mark.parametrize("case", [
+        *[(shape, variant) for shape in [(5, 8, 3), (6, 10, 3)]
+          for variant in ["generic", "zero-column", "duplicate-column"]],
+        "saddle", "continuum", "s-zero"])
+    def test_report_bytes_are_the_dict_dumped(self, case, saddle_instance, tmp_path, capsys):
+        inst = self._instance(case, saddle_instance)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance_to_dict(inst)))
+        assert cli.main(["sweep", "--instance", str(path)]) == 0
+        result = sweep_levels(inst, enumerate_stationary(inst))
+        assert capsys.readouterr().out == json.dumps(result.to_dict(), indent=2) + "\n"
+        if case == "continuum":
+            assert not result.applicable and result.transitions == []
+        if case == "saddle":
+            assert result.transitions[0].kinds == [PointKind.LOCAL_MINIMIZER] * 2
+
+    def test_s_zero_sweep(self, tmp_path, capsys):
+        # s = 0: one node, the empty support, and no size -1 block to link it.
+        inst = self._instance("s-zero", None)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance_to_dict(inst)))
+        assert cli.main(["sweep", "--instance", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        value = 0.5 * float(inst.b @ inst.b)
+        assert [iv["q"] for iv in payload["intervals"]] == [0, 1]
+        assert payload["transitions"] == [{"value": pytest.approx(value), "kind": "LocalMinimizer",
+                                           "delta": 1, "admissible": True}]
+
+    def test_non_finite_bound_raises_as_the_writer_does(self):
+        inst = benchmark_instance((5, 8, 3), "generic")
+        result = sweep_levels(inst, enumerate_stationary(inst))
+        result.values[-1] = math.inf
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant: inf"):
+            writer_dumps(result.to_records())
+
+
+class TestBinomialPostCondition:
+    """Under the Morse hypothesis the counts are binomials; others raise, exit 1."""
+
+    @staticmethod
+    def _mislabel_saddles(monkeypatch):
+        classify = enumeration.classify
+
+        def mislabelling(inst, k, nd2, nd1_min_abs):
+            nd1, near, kinds = classify(inst, k, nd2, nd1_min_abs)
+            kinds[[kind is PointKind.SADDLE_POINT for kind in kinds]] = PointKind.LOWER_ORDER
+            return nd1, near, kinds
+
+        monkeypatch.setattr(enumeration, "classify", mislabelling)
+
+    def test_mislabelled_counts_raise(self, monkeypatch):
+        inst = benchmark_instance((5, 8, 3), "generic")
+        assert not enumerate_stationary(inst).hypothesis_violated
+        self._mislabel_saddles(monkeypatch)
+        with pytest.raises(RuntimeError, match=r"\(r, r1, lower_order\) = \(56, 0, 37\)"):
+            enumerate_stationary(inst)
+
+    def test_cli_exits_one(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps(instance_to_dict(benchmark_instance((5, 8, 3), "generic"))))
+        self._mislabel_saddles(monkeypatch)
+        assert cli.main(["analyze", "--instance", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: (r, r1, lower_order)")
+
+    def test_violated_hypothesis_is_not_checked(self, monkeypatch, instability_original):
+        self._mislabel_saddles(monkeypatch)
+        assert enumerate_stationary(instability_original).hypothesis_violated

@@ -10,13 +10,13 @@ from l0landscape import (
     support_min_table,
     sweep_levels,
 )
-from l0landscape.levelsets import _level_counts
 
 from _oracles import (
     grid_components,
     min_relative_value_gap,
     pairwise_components,
     random_instance,
+    table_level_counts,
 )
 
 
@@ -62,6 +62,11 @@ class TestComponentCount:
     def test_empty_level_set(self, saddle_instance):
         assert component_count(saddle_instance, -1.0) == 0
 
+    @pytest.mark.parametrize("level", [-np.inf, np.nan])
+    def test_level_without_a_bound_is_empty(self, saddle_instance, level):
+        # The band's bound is NaN here, which no value is at or below.
+        assert component_count(saddle_instance, level) == 0
+
     def test_connected_above_data_norm_threshold(self):
         rng = np.random.default_rng(32)
         for _ in range(10):
@@ -100,10 +105,12 @@ class TestComponentCount:
             assert component_count(inst, level) == grid_components(inst, level)
 
     @pytest.mark.parametrize("variant", ["generic", "zero-column", "duplicate-column"])
-    @pytest.mark.parametrize("m,n,s", [(4, 7, 2), (5, 8, 3), (4, 5, 4)])
+    @pytest.mark.parametrize("m,n,s", [(4, 7, 2), (5, 8, 3), (4, 5, 4), (3, 5, 0), (3, 5, 1),
+                                       (5, 6, 5)])
     def test_matches_pairwise_graph_at_every_value(self, m, n, s, variant):
         # Every support value and every midpoint between consecutive values:
         # the union-find pass must give the all-pairs graph's count at each.
+        # s = 0 has no stars, s = 1 the one empty star, s = n - 1 the most.
         rng = np.random.default_rng(m * 100 + n * 10 + s)
         inst = random_instance(rng, m, n, s)
         A = inst.A.copy()
@@ -115,7 +122,7 @@ class TestComponentCount:
         table = support_min_table(inst)
         values = sorted({sub.value for sub in table.values()})
         levels = sorted(values + [0.5 * (a + b) for a, b in zip(values, values[1:])])
-        for level, q in zip(levels, _level_counts(inst, table, levels)):
+        for level, q in zip(levels, table_level_counts(inst, levels, table)):
             assert q == pairwise_components(inst, level, table), level
 
 
@@ -153,8 +160,9 @@ class TestSweep:
         rep = enumerate_stationary(inst)
         assert not rep.hypothesis_violated
         sweep = sweep_levels(inst, rep)
-        counts = _level_counts(inst, rep.table, [
-            iv.lo + f * (iv.hi - iv.lo) for iv in sweep.intervals for f in (0.25, 0.5, 0.75)])
+        counts = table_level_counts(inst, [
+            iv.lo + f * (iv.hi - iv.lo) for iv in sweep.intervals for f in (0.25, 0.5, 0.75)],
+            rep.table)
         for i, iv in enumerate(sweep.intervals):
             assert set(counts[3 * i:3 * i + 3]) == {iv.q}
 
